@@ -59,28 +59,8 @@ class Twist(str, Enum):
     GAMMA = "gamma"
 
 
-class Coeff(str, Enum):
-    MOD2 = "mod2"
-    INTEGRAL = "integral"
-
-
 def degree(m: Monomial) -> int:
     return m[0] + 2 * sum(m[1])
-
-
-def monomial_str(m: Monomial) -> str:
-    a, bs = m
-    parts = []
-    if a == 1:
-        parts.append("a")
-    elif a > 1:
-        parts.append(f"a^{a}")
-    for i, c in enumerate(bs):
-        if c == 1:
-            parts.append(f"b{i + 1}")
-        elif c > 1:
-            parts.append(f"b{i + 1}^{c}")
-    return ".".join(parts) if parts else "1"
 
 
 def _check_range(p: int, r: int) -> None:
@@ -145,23 +125,12 @@ def sq2_twisted(m: Monomial, twist: Twist, r: int) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def mod2_basis(p: int, r: int) -> tuple[Monomial, ...]:
-    return monomials(p, r)
-
-
 def integral_homology(p: int, r: int) -> tuple[int, int]:
     """(free rank, number of Z/2 summands) of H_p(B; Z), by Kunneth."""
     ms = monomials(p, r)
     free = sum(1 for a, _ in ms if a == 0)
     torsion = sum(1 for a, _ in ms if a % 2 == 1)
     return free, torsion
-
-
-def homology_basis(p: int, r: int, coeff: Coeff):
-    """Basis descriptor: monomial list for mod 2, (free, torsion) for Z."""
-    if coeff is Coeff.MOD2:
-        return mod2_basis(p, r)
-    return integral_homology(p, r)
 
 
 def integral_generators(p: int, r: int) -> tuple[Monomial, ...]:

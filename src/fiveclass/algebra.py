@@ -10,15 +10,10 @@ with the top- groups, whose leading coordinate is the Kirby-Siebenmann bit.
 Relations among the invariants (all mod 2):
     type I:   q + s + r = 1      type II:  r = 1      type III:  q + r = 1
 
-Block vocabulary and their contributions:
-
-    X(q)        smooth fake RP5 for odd q (q in Z/16, generator-relative);
-                even q names the rank-1 composite X(l) join X(l') with class q
-    X(p,q)      topological analogue, class (p, q) in Z/2 + Z/8 (p = KS)
-    S2xRP3      rank 1, spin, trivial bordism class
-    *S2xRP3     topological only; its characteristic submanifold carries KS=1
-    CP2xS1      rank 1, pi_1 = Z, contributes the w2^2 generator (0,1) in pinc
-    k*(S2xS2)xS1  rank 2k, pi_1 = Z, contributes nothing
+Each building block is one class below.  It states its rank, whether its
+fundamental group is Z/2 (else Z), whether it exists only topologically,
+and its bordism contribution as coefficients of the generators E8, RP4 and
+CP2 named in bordism.GROUP_TABLE; parsing.TERMS gives its token.
 
 Rank of a join: ranks add, plus 1 for every join of two pi_1 = Z/2 pieces;
 for an expression that is one + (number of Z/2 blocks - 1).  A framing bit
@@ -32,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Union
 
 from . import bordism
 from .bordism import BordismElement, CanonicalClass, Category, Flavor, GroupKind
 from .errors import (
     CategoryMismatchError,
-    ConsistencyError,
     InvalidExpressionError,
+    NonIntegralKError,
     StarInSmoothError,
 )
 
@@ -61,46 +57,91 @@ FLAVOR_FOR_TYPE = {
 
 @dataclass(frozen=True)
 class FakeRP5:
-    """Smooth block X(q), q taken mod 16."""
+    """Smooth block X(q), q taken mod 16 (generator-relative), class q*RP4.
+
+    Odd q is a smooth fake RP5 of rank 0; even q names the rank-1 composite
+    X(l) join X(l') with class q.
+    """
 
     q: int
+    has_z2 = True
+    top_only = False
 
     def __init__(self, q: int):
         object.__setattr__(self, "q", int(q) % 16)
 
+    @property
+    def rank(self) -> int:
+        return 1 - self.q % 2
+
+    def coefficients(self) -> dict[str, int]:
+        return {"RP4": self.q}
+
 
 @dataclass(frozen=True)
 class FakeRP5Top:
-    """Topological block X(p, q); p = KS mod 2, q mod 8."""
+    """Topological block X(p, q); p = KS mod 2, q mod 8, class p*E8 + q*RP4."""
 
     p: int
     q: int
+    has_z2 = True
+    top_only = True
 
     def __init__(self, p: int, q: int):
         object.__setattr__(self, "p", int(p) % 2)
         object.__setattr__(self, "q", int(q) % 8)
 
+    @property
+    def rank(self) -> int:
+        return 1 - self.q % 2
+
+    def coefficients(self) -> dict[str, int]:
+        return {"E8": self.p, "RP4": self.q}
+
 
 @dataclass(frozen=True)
 class S2xRP3:
-    pass
+    """Rank 1, spin, trivial bordism class."""
+
+    rank = 1
+    has_z2 = True
+    top_only = False
+
+    def coefficients(self) -> dict[str, int]:
+        return {}
 
 
 @dataclass(frozen=True)
 class StarS2xRP3:
-    pass
+    """Rank 1; its characteristic submanifold carries KS = 1, class E8."""
+
+    rank = 1
+    has_z2 = True
+    top_only = True
+
+    def coefficients(self) -> dict[str, int]:
+        return {"E8": 1}
 
 
 @dataclass(frozen=True)
 class CP2xS1:
-    pass
+    """Rank 1, pi_1 = Z, class CP2 (the w2^2 generator)."""
+
+    rank = 1
+    has_z2 = False
+    top_only = False
+
+    def coefficients(self) -> dict[str, int]:
+        return {"CP2": 1}
 
 
 @dataclass(frozen=True)
 class S2xS2xS1:
-    """(#_k S2 x S2) x S1, k >= 1 copies."""
+    """(#_k S2 x S2) x S1, k >= 1 copies; rank 2k, pi_1 = Z, trivial class."""
 
     k: int
+    has_z2 = False
+    top_only = False
 
     def __init__(self, k: int):
         k = int(k)
@@ -108,71 +149,23 @@ class S2xS2xS1:
             raise InvalidExpressionError(f"S2xS2 count must be >= 1, got {k}")
         object.__setattr__(self, "k", k)
 
+    @property
+    def rank(self) -> int:
+        return 2 * self.k
+
+    def coefficients(self) -> dict[str, int]:
+        return {}
+
 
 Block = Union[FakeRP5, FakeRP5Top, S2xRP3, StarS2xRP3, CP2xS1, S2xS2xS1]
 
 
-def block_rank(b: Block) -> int:
-    if isinstance(b, FakeRP5):
-        return 0 if b.q % 2 else 1
-    if isinstance(b, FakeRP5Top):
-        return 0 if b.q % 2 else 1
-    if isinstance(b, (S2xRP3, StarS2xRP3, CP2xS1)):
-        return 1
-    return 2 * b.k
-
-
-def block_has_z2(b: Block) -> bool:
-    """True for the blocks with fundamental group Z/2 (the rest have Z)."""
-    return isinstance(b, (FakeRP5, FakeRP5Top, S2xRP3, StarS2xRP3))
-
-
-def block_top_only(b: Block) -> bool:
-    return isinstance(b, (FakeRP5Top, StarS2xRP3))
-
-
 def _contribution(b: Block, kind: GroupKind) -> BordismElement:
-    """Bordism class of the block's characteristic piece in the given group.
-
-    Smooth fakes appearing in a topological expression contribute through
-    the forgetful map (KS 0, class mod 8).
-    """
-    cat, fl = kind.category, kind.flavor
-    z = bordism.zero(kind)
-    if cat is Category.SMOOTH:
-        if fl is Flavor.PIN_PLUS and isinstance(b, FakeRP5):
-            return BordismElement(kind, (b.q,))
-        if fl is Flavor.PINC:
-            if isinstance(b, FakeRP5):
-                return BordismElement(kind, (b.q % 8, 0))
-            if isinstance(b, CP2xS1):
-                return BordismElement(kind, (0, 1))
-        return z
-    # topological groups: leading coordinate is KS
-    if fl is Flavor.PIN_PLUS:
-        if isinstance(b, FakeRP5Top):
-            return BordismElement(kind, (b.p, b.q))
-        if isinstance(b, FakeRP5):
-            return BordismElement(kind, (0, b.q % 8))
-        if isinstance(b, StarS2xRP3):
-            return BordismElement(kind, (1, 0))
-        return z
-    if fl is Flavor.PINC:
-        if isinstance(b, FakeRP5Top):
-            return BordismElement(kind, (b.p, b.q, 0))
-        if isinstance(b, FakeRP5):
-            return BordismElement(kind, (0, b.q % 8, 0))
-        if isinstance(b, CP2xS1):
-            return BordismElement(kind, (0, 0, 1))
-        if isinstance(b, StarS2xRP3):
-            return BordismElement(kind, (1, 0, 0))
-        return z
-    # top pin-: pure KS
-    if isinstance(b, StarS2xRP3):
-        return BordismElement(kind, (1,))
-    if isinstance(b, FakeRP5Top):
-        return BordismElement(kind, (b.p,))
-    return z
+    """Bordism class of the block's characteristic piece in the given group:
+    the coefficient of each of the group's generators (0 where the group
+    lacks one; smooth fakes thus enter the topological groups with KS 0)."""
+    coeffs = b.coefficients()
+    return BordismElement(kind, (coeffs.get(g, 0) for g in kind.generators))
 
 
 # -- expressions --------------------------------------------------------------
@@ -208,7 +201,7 @@ class ManifoldExpression:
                     raise StarInSmoothError(
                         "*S2xRP3 exists only in the topological category"
                     )
-                if isinstance(b, FakeRP5Top):
+                if b.top_only:
                     raise InvalidExpressionError(
                         "X(p,q) blocks exist only in the topological category"
                     )
@@ -217,7 +210,7 @@ class ManifoldExpression:
         object.__setattr__(self, "framings", framings)
 
     def has_z2_block(self) -> bool:
-        return any(block_has_z2(b) for b in self.blocks)
+        return any(b.has_z2 for b in self.blocks)
 
 
 def connected_sum(
@@ -297,8 +290,8 @@ def invariants(e: ManifoldExpression) -> Invariants:
         raise InvalidExpressionError(
             "expression has no Z/2 block, so its fundamental group is not Z/2"
         )
-    z2_count = sum(1 for b in e.blocks if block_has_z2(b))
-    r = sum(block_rank(b) for b in e.blocks) + z2_count - 1
+    z2_count = sum(1 for b in e.blocks if b.has_z2)
+    r = sum(b.rank for b in e.blocks) + z2_count - 1
     w2type = _w2type_of(e.blocks)
     kind = GroupKind(e.category, FLAVOR_FOR_TYPE[w2type])
     total = bordism.zero(kind)
@@ -330,23 +323,45 @@ def forget_invariants(inv: Invariants) -> Invariants:
 
 # -- standard forms -----------------------------------------------------------
 
-def _sign(q: int) -> int:
-    return 1 if q % 2 == 0 else -1
+@cache
+def family_params(
+    category: Category, w2type: W2Type
+) -> tuple[tuple[int | None, int | None], ...]:
+    """The (q, s) of the standard forms of one type and category."""
+    if w2type is W2Type.II:
+        return ((None, None),)
+    if w2type is W2Type.III:
+        return tuple((q, None) for q in range(9 if category is Category.SMOOTH else 5))
+    return tuple((q, s) for q in range(5) for s in (0, 1))
+
+
+def family_base(w2type: W2Type, q: int | None, s: int | None) -> int:
+    """r - 2k on the standard family with parameters (type, q, s):
+
+    type I, s=0: (5+(-1)^q)/2    type I, s=1: (3+(-1)^q)/2
+    type II:     1               type III:    (1+(-1)^q)/2
+    """
+    if w2type is W2Type.II:
+        return 1
+    even = 1 - q % 2  # (1 + (-1)^q) / 2
+    if w2type is W2Type.III:
+        return even
+    return (2 if s == 0 else 1) + even
 
 
 @dataclass(frozen=True)
 class StandardForm:
     """One line of the standard-form lists, with its parameters.
 
-    Families and rank formulas (k = number of S2xS2 summands):
+    Families (k = number of S2xS2 summands, r = 2k + family_base):
 
-      type I,  s=0:  X(q) # S2xRP3 # k*(S2xS2)xS1     r = 2k + (5+(-1)^q)/2
-      type I,  s=1:  X(q) # CP2xS1 # k*(S2xS2)xS1     r = 2k + (3+(-1)^q)/2
-      type II:       S2xRP3 # k*(S2xS2)xS1            r = 2k + 1
-      type III:      X(q) # k*(S2xS2)xS1              r = 2k + (1+(-1)^q)/2
+      type I,  s=0:  X(q) # S2xRP3 # k*(S2xS2)xS1
+      type I,  s=1:  X(q) # CP2xS1 # k*(S2xS2)xS1
+      type II:       S2xRP3 # k*(S2xS2)xS1
+      type III:      X(q) # k*(S2xS2)xS1
 
-    Smooth: q in {0..8} for type III, {0..4} for type I.  Topological: X(q)
-    becomes X(p,q) with p = KS in {0,1} and q in {0..4}; the type II family
+    The (q, s) of each family are listed by family_params.  Topological
+    forms carry p = KS in {0,1}: X(q) becomes X(p,q), and the type II family
     with p = 1 uses *S2xRP3 instead of S2xRP3.
     """
 
@@ -360,37 +375,20 @@ class StandardForm:
     def __post_init__(self):
         if self.k < 0:
             raise InvalidExpressionError(f"k must be >= 0, got {self.k}")
-        top = self.category is Category.TOP
-        if top:
+        if self.category is Category.TOP:
             if self.p not in (0, 1):
                 raise InvalidExpressionError("topological forms need p in {0,1}")
         elif self.p is not None:
             raise InvalidExpressionError("smooth forms carry no KS parameter")
-        if self.w2type is W2Type.II:
-            if self.q is not None or self.s is not None:
-                raise InvalidExpressionError("type II forms have no q or s")
-        elif self.w2type is W2Type.III:
-            qmax = 4 if top else 8
-            if self.q is None or not 0 <= self.q <= qmax:
-                raise InvalidExpressionError(
-                    f"type III needs q in 0..{qmax}, got {self.q}"
-                )
-            if self.s is not None:
-                raise InvalidExpressionError("type III forms have no s")
-        else:
-            if self.q is None or not 0 <= self.q <= 4:
-                raise InvalidExpressionError(f"type I needs q in 0..4, got {self.q}")
-            if self.s not in (0, 1):
-                raise InvalidExpressionError("type I needs s in {0,1}")
+        if (self.q, self.s) not in family_params(self.category, self.w2type):
+            raise InvalidExpressionError(
+                f"no {self.category.value} type {self.w2type.value} standard "
+                f"form has (q, s) = ({self.q}, {self.s})"
+            )
 
     @property
     def r(self) -> int:
-        if self.w2type is W2Type.II:
-            return 2 * self.k + 1
-        if self.w2type is W2Type.III:
-            return 2 * self.k + (1 + _sign(self.q)) // 2
-        base = (5 + _sign(self.q)) // 2 if self.s == 0 else (3 + _sign(self.q)) // 2
-        return 2 * self.k + base
+        return 2 * self.k + family_base(self.w2type, self.q, self.s)
 
     def expression(self) -> ManifoldExpression:
         blocks: list[Block] = []
@@ -406,7 +404,10 @@ class StandardForm:
         return ManifoldExpression(self.category, blocks)
 
     def invariants(self) -> Invariants:
-        return invariants(self.expression())
+        """The class has coordinates (p, q, s), those that are not None."""
+        kind = GroupKind(self.category, FLAVOR_FOR_TYPE[self.w2type])
+        coords = (x for x in (self.p, self.q, self.s) if x is not None)
+        return Invariants(self.category, self.w2type, self.r, BordismElement(kind, coords))
 
     def text(self) -> str:
         from .parsing import render_expression
@@ -426,16 +427,13 @@ def standard_form_from_invariants(inv: Invariants) -> StandardForm:
     p = rep[0] if top else None
     if inv.w2type is W2Type.II:
         q = s = None
-        base = 1
     elif inv.w2type is W2Type.III:
         q, s = rep[-1], None
-        base = (1 + _sign(q)) // 2
     else:
         q, s = rep[-2], rep[-1]
-        base = (5 + _sign(q)) // 2 if s == 0 else (3 + _sign(q)) // 2
-    k2 = inv.r - base
+    k2 = inv.r - family_base(inv.w2type, q, s)
     if k2 < 0 or k2 % 2:
-        raise ConsistencyError(
+        raise NonIntegralKError(
             f"no standard family matches invariants "
             f"(type {inv.w2type.value}, r={inv.r}, class {rep})"
         )
@@ -462,25 +460,15 @@ def enumerate_forms(
     """
     if r_max < 0:
         raise InvalidExpressionError("r_max must be >= 0")
-    top = category is Category.TOP
-    ps: tuple[int | None, ...] = (0, 1) if top else (None,)
-    out: list[StandardForm] = []
-
-    def keep(form: StandardForm):
-        if form.r <= r_max:
-            out.append(form)
-
-    for p in ps:
-        for k in range(r_max // 2 + 1):
-            keep(StandardForm(category, W2Type.II, k, p=p))
-            for q in range(0, (4 if top else 8) + 1):
-                keep(StandardForm(category, W2Type.III, k, q=q, p=p))
-            for q in range(0, 5):
-                for s in (0, 1):
-                    keep(StandardForm(category, W2Type.I, k, q=q, s=s, p=p))
-    forms = [f for f in out if w2type is None or f.w2type is w2type]
-    forms.sort(key=_form_sort_key)
-    return forms
+    ps = (0, 1) if category is Category.TOP else (None,)
+    forms = [
+        StandardForm(category, t, k, q=q, s=s, p=p)
+        for t in ([w2type] if w2type else W2Type)
+        for q, s in family_params(category, t)
+        for p in ps
+        for k in range(r_max // 2 + 1)
+    ]
+    return sorted((f for f in forms if f.r <= r_max), key=_form_sort_key)
 
 
 # -- equivalence --------------------------------------------------------------

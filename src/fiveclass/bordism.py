@@ -174,17 +174,16 @@ def canonicalize(a: BordismElement) -> CanonicalClass:
 def forget_smooth(a: BordismElement) -> BordismElement:
     """Image under the smooth -> topological comparison map.
 
-    Defined by generator tracking (RP4 -> RP4, smooth manifolds have
-    KS = 0); on the pin+ groups this reduces the Z/16 coordinate mod 8.
+    Defined by generator tracking: each smooth coordinate goes to the
+    topological coordinate of the same generator, and E8 (the KS bit) is 0
+    since smooth manifolds have KS = 0.  On the pin+ groups this reduces
+    the Z/16 coordinate mod 8.
     """
     if a.kind.category is not Category.SMOOTH:
         raise KindMismatchError("forget_smooth needs a smooth bordism element")
     top = GroupKind(Category.TOP, a.kind.flavor)
-    if a.kind.flavor is Flavor.PIN_PLUS:
-        return BordismElement(top, (0, a.coords[0] % 8))
-    if a.kind.flavor is Flavor.PINC:
-        return BordismElement(top, (0, a.coords[0], a.coords[1]))
-    return BordismElement(top, (0,))
+    named = dict(zip(a.kind.generators, a.coords))
+    return BordismElement(top, (named.get(g, 0) for g in top.generators))
 
 
 def elements(kind: GroupKind) -> Iterator[BordismElement]:

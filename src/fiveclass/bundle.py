@@ -14,8 +14,9 @@ characteristic submanifold equals KS(X), so the topological answer always
 carries p = KS(X).  The arf-style coordinate is q = <ct^2, [X]> mod 8 taken
 mod +-, and in type I the w2^2 coordinate is s = rk H_2(X) + <ct^2, [X]>
 mod 2, using that <w2(X)^2, [X]> = rk H_2(X) mod 2 for any closed
-4-manifold.  The number of S2xS2 summands k then comes from inverting the
-rank formula of the matching family.  For smooth type III the pin+ class is
+4-manifold.  These are the topological invariants; the standard form with
+them, and with it the number k of S2xS2 summands, comes from
+algebra.standard_form_from_invariants.  For smooth type III the pin+ class is
 only pinned down mod 8, never mod 16: the answer is the two-element
 candidate set {q, q+8} mod +-, which collapses to one element when q = 4.
 """
@@ -24,13 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Category, Invariants, StandardForm, W2Type
-from .errors import (
-    InvalidFormError,
-    NonIntegralKError,
-    WrongDivisibilityError,
-    ZeroClassError,
+from .algebra import (
+    FLAVOR_FOR_TYPE,
+    Category,
+    Invariants,
+    StandardForm,
+    W2Type,
+    standard_form_from_invariants,
 )
+from .bordism import BordismElement, GroupKind
+from .errors import InvalidFormError, WrongDivisibilityError, ZeroClassError
 from .forms import CohomologyClass, IntersectionForm
 
 
@@ -41,8 +45,8 @@ class BundleInput:
     c1: CohomologyClass
 
     def __post_init__(self):
-        if self.ks not in (0, 1):
-            raise InvalidFormError(f"ks must be 0 or 1, got {self.ks}")
+        if type(self.ks) is not int or self.ks not in (0, 1):
+            raise InvalidFormError(f"ks must be 0 or 1, got {self.ks!r}")
         if len(self.c1) != self.form.rank:
             raise InvalidFormError(
                 f"c1 has length {len(self.c1)}, form has rank {self.form.rank}"
@@ -65,8 +69,10 @@ class Classification:
 
 def w2_type(form: IntersectionForm, c1: CohomologyClass) -> W2Type:
     """w2-type of the total space; requires divisibility(c1) = 2."""
-    _require_divisibility_two(c1)
-    ct = c1.halved()
+    return _w2_type_of_half(form, _half(c1))
+
+
+def _w2_type_of_half(form: IntersectionForm, ct: CohomologyClass) -> W2Type:
     if form.is_even():
         return W2Type.II
     if form.is_characteristic(ct):
@@ -84,7 +90,8 @@ def is_smoothable(ks: int, c1: CohomologyClass) -> bool:
     return ks == 0
 
 
-def _require_divisibility_two(c1: CohomologyClass) -> None:
+def _half(c1: CohomologyClass) -> CohomologyClass:
+    """ct = c1/2, after checking that c1 has divisibility exactly 2."""
     m = c1.divisibility()
     if m == 0:
         raise ZeroClassError("c1 is the zero class; the bundle is trivial")
@@ -101,16 +108,7 @@ def _require_divisibility_two(c1: CohomologyClass) -> None:
             f"c1 has divisibility m={m}: pi_1(M) = Z/{m} is outside the "
             "classified family (only m=2 is supported)",
         )
-
-
-def _invert_rank_formula(rk: int, base: int, label: str) -> int:
-    k2 = rk - base
-    if k2 < 0 or k2 % 2:
-        raise NonIntegralKError(
-            f"k = ({rk} - {base})/2 is not a non-negative integer in the "
-            f"{label} formula; input violates an expected parity"
-        )
-    return k2 // 2
+    return c1.halved()
 
 
 def classify(inp: BundleInput) -> Classification:
@@ -119,52 +117,29 @@ def classify(inp: BundleInput) -> Classification:
     Always returns the homeomorphism type; when KS(X) = 0 also the smooth
     answer, which for type III is the order-2 candidate set.
     """
-    form, ks, c1 = inp.form, inp.ks, inp.c1
-    _require_divisibility_two(c1)
-    ct = c1.halved()
-    t = w2_type(form, c1)
-    rk = form.rank
-    r = rk - 1
-    smoothable = ks == 0
-
-    def sign(q: int) -> int:
-        return 1 if q % 2 == 0 else -1
-
+    form, ks = inp.form, inp.ks
+    ct = _half(inp.c1)
+    t = _w2_type_of_half(form, ct)
+    r = form.rank - 1
     if t is W2Type.II:
-        if rk % 2:
-            raise NonIntegralKError(f"even form of odd rank {rk}")
-        k = rk // 2 - 1
-        if k < 0:
-            raise NonIntegralKError(f"even form of rank {rk} < 2")
         q8 = s = None
-        homeo = StandardForm(Category.TOP, t, k, p=ks)
-        smooth = (StandardForm(Category.SMOOTH, t, k),) if smoothable else ()
+        coords: tuple[int, ...] = (ks,)
     else:
         qraw = form.square(ct)
         q8 = min(qraw % 8, (-qraw) % 8)
-        if t is W2Type.III:
-            s = None
-            k = _invert_rank_formula(rk, (3 + sign(q8)) // 2, "type III")
-            homeo = StandardForm(Category.TOP, t, k, q=q8, p=ks)
-            # smooth class known only mod 8: candidates q8 and 8-q8 in Z/16 mod +-
-            candidates = sorted({q8, 8 - q8})
-            smooth = (
-                tuple(StandardForm(Category.SMOOTH, t, k, q=qq) for qq in candidates)
-                if smoothable
-                else ()
-            )
-        else:
-            s = (rk + qraw) % 2
-            base = (7 + sign(q8)) // 2 if s == 0 else (5 + sign(q8)) // 2
-            k = _invert_rank_formula(rk, base, "type I")
-            homeo = StandardForm(Category.TOP, t, k, q=q8, s=s, p=ks)
-            smooth = (
-                (StandardForm(Category.SMOOTH, t, k, q=q8, s=s),)
-                if smoothable
-                else ()
-            )
-
-    inv = homeo.invariants()
+        s = (form.rank + qraw) % 2 if t is W2Type.I else None
+        coords = (ks, q8) if s is None else (ks, q8, s)
+    kind = GroupKind(Category.TOP, FLAVOR_FOR_TYPE[t])
+    inv = Invariants(Category.TOP, t, r, BordismElement(kind, coords))
+    homeo = standard_form_from_invariants(inv)
+    smoothable = ks == 0
+    # smooth type III: class known only mod 8, so q8 and 8-q8 in Z/16 mod +-
+    qs = sorted({q8, 8 - q8}) if t is W2Type.III else [q8]
+    smooth = (
+        tuple(StandardForm(Category.SMOOTH, t, homeo.k, q=q, s=s) for q in qs)
+        if smoothable
+        else ()
+    )
     return Classification(
         m=2,
         r=r,
@@ -175,5 +150,5 @@ def classify(inp: BundleInput) -> Classification:
         invariants=inv,
         q=q8,
         s=s,
-        k=k,
+        k=homeo.k,
     )

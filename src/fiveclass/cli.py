@@ -126,7 +126,7 @@ def _cmd_classify(args) -> int:
         try:
             with open(args.input, "r", encoding="ascii") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
     try:
         obj = json.loads(raw)
@@ -188,6 +188,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_bordism(args) -> int:
     op = args.operation
+    if op in ("info", "neg", "canon", "forget") and len(args.args) != 1:
+        raise InputError(f"bordism {op} takes one argument, got {len(args.args)}")
     if op == "table":
         for kind in bordism.ALL_KINDS:
             info = bordism.group_info(kind)

@@ -102,7 +102,12 @@ class IntersectionForm:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(tuple(int(x) for x in row) for row in rows)
+        try:
+            mat = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise InvalidFormError("matrix must be a list of rows") from exc
+        if any(type(x) is not int for row in mat for x in row):
+            raise InvalidFormError("matrix entries must be integers")
         n = len(mat)
         if n < 1:
             raise InvalidFormError("form must have rank >= 1")
@@ -250,10 +255,6 @@ def hyperbolic() -> IntersectionForm:
     return from_blocks(["H"])
 
 
-def e8_form() -> IntersectionForm:
-    return from_blocks(["E8"])
-
-
 def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
     """Parse the 4-manifold JSON schema.
 
@@ -266,7 +267,10 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
     if not isinstance(form_spec, dict):
         raise InvalidFormError('missing or malformed "form" field')
     if "blocks" in form_spec:
-        form = from_blocks(form_spec["blocks"])
+        blocks = form_spec["blocks"]
+        if not isinstance(blocks, list) or any(type(b) is not str for b in blocks):
+            raise InvalidFormError('"blocks" must be a list of block names')
+        form = from_blocks(blocks)
     elif "matrix" in form_spec:
         matrix = form_spec["matrix"]
         if not isinstance(matrix, list):
@@ -275,6 +279,6 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
     else:
         raise InvalidFormError('form needs either "blocks" or "matrix"')
     ks = obj.get("ks", 0)
-    if ks not in (0, 1):
+    if type(ks) is not int or ks not in (0, 1):
         raise InvalidFormError(f'"ks" must be 0 or 1, got {ks!r}')
-    return form, int(ks)
+    return form, ks

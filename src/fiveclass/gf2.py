@@ -18,9 +18,6 @@ class Gf2Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def rank(self) -> int:
         return rank(self.rows)
 

@@ -1,17 +1,18 @@
 """Parser and renderer for the manifold-expression grammar.
 
     expr := term (('#' | '#~') term)*
-    term := 'X(' int ')' | 'X(' int ',' int ')' | 'S2xRP3' | '*S2xRP3'
-          | 'CP2xS1' | int '*(S2xS2)xS1'
+    term := one of the tokens in TERMS
 
 Whitespace is insignificant; '#~' marks framing bit 1 at the join.  Syntax
 errors carry the byte offset and the expected-token set.  The category is
-inferred: topological when any X(p,q) or *S2xRP3 block occurs, smooth
+inferred: topological when any topological-only block occurs, smooth
 otherwise.  A top-level expression must have fundamental group Z/2, so it
-needs at least one X/S2xRP3-type block.
+needs at least one block with pi_1 = Z/2.
 """
 
 from __future__ import annotations
+
+import re
 
 from .algebra import (
     CP2xS1,
@@ -23,96 +24,83 @@ from .algebra import (
     S2xRP3,
     S2xS2xS1,
     StarS2xRP3,
-    block_top_only,
 )
-from .errors import ExpressionSemanticError, ExpressionSyntaxError
+from .errors import (
+    ExpressionSemanticError,
+    ExpressionSyntaxError,
+    InvalidExpressionError,
+)
 
-_TERM_EXPECTED = ("X(", "S2xRP3", "*S2xRP3", "CP2xS1", "<int>*(S2xS2)xS1")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_literal(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect_literal(self, lit: str) -> None:
-        if not self.try_literal(lit):
-            raise ExpressionSyntaxError(self.pos, (lit,))
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            self.pos = start
-            raise ExpressionSyntaxError(start, ("<int>",))
-        return int(self.text[start : self.pos])
+# The token of each block type, as pieces that whitespace may separate: a
+# literal, or a {field} slot that holds the block's integer field (an
+# optionally signed ASCII integer).  This one table drives the parser, the
+# expected-token sets of its syntax errors and render_block.
+TERMS: tuple[tuple[type, tuple[str, ...]], ...] = (
+    (FakeRP5, ("X", "(", "{q}", ")")),
+    (FakeRP5Top, ("X", "(", "{p}", ",", "{q}", ")")),
+    (S2xRP3, ("S2xRP3",)),
+    (StarS2xRP3, ("*S2xRP3",)),
+    (CP2xS1, ("CP2xS1",)),
+    (S2xS2xS1, ("{k}", "*(S2xS2)xS1")),
+)
 
 
-def _parse_term(cur: _Cursor) -> Block:
-    cur.skip_ws()
-    start = cur.pos
-    if cur.try_literal("X"):
-        cur.expect_literal("(")
-        first = cur.parse_int()
-        if cur.try_literal(","):
-            second = cur.parse_int()
-            cur.expect_literal(")")
-            return FakeRP5Top(first, second)
-        cur.expect_literal(")")
-        return FakeRP5(first)
-    if cur.try_literal("*S2xRP3"):
-        return StarS2xRP3()
-    if cur.try_literal("S2xRP3"):
-        return S2xRP3()
-    if cur.try_literal("CP2xS1"):
-        return CP2xS1()
-    ch = cur.text[cur.pos] if cur.pos < len(cur.text) else ""
-    if ch.isdigit() or ch in "+-":
-        count = cur.parse_int()
-        cur.expect_literal("*(S2xS2)xS1")
-        if count < 1:
-            raise ExpressionSemanticError(
-                f"S2xS2 count must be >= 1, got {count} at offset {start}"
-            )
-        return S2xS2xS1(count)
-    raise ExpressionSyntaxError(cur.pos, _TERM_EXPECTED)
+def _shown(piece: str) -> str:
+    return "<int>" if piece.startswith("{") else piece
+
+
+def _pattern(pieces: tuple[str, ...]) -> re.Pattern:
+    """Regex for a run of pieces, each followed by optional whitespace."""
+    return re.compile(
+        "".join(
+            (rf"(?P<{p[1:-1]}>[+-]?[0-9]+)" if p.startswith("{") else re.escape(p))
+            + r"\s*"
+            for p in pieces
+        )
+    )
+
+
+_PATTERNS = tuple((block_type, _pattern(pieces)) for block_type, pieces in TERMS)
+_FORMAT = {block_type: "".join(pieces) for block_type, pieces in TERMS}
+_SPACE = re.compile(r"\s*")
+_JOIN = re.compile(r"(#~?)\s*")
+
+
+def _parse_term(text: str, pos: int) -> tuple[Block, int]:
+    """The first term token that matches at pos, and the offset past it."""
+    for block_type, pattern in _PATTERNS:
+        m = pattern.match(text, pos)
+        if m:
+            fields = {name: int(value) for name, value in m.groupdict().items()}
+            try:
+                return block_type(**fields), m.end()
+            except InvalidExpressionError as exc:
+                raise ExpressionSemanticError(f"{exc} at offset {pos}") from exc
+    # no token matched: report what each wanted at the furthest offset reached,
+    # the whole token if it matched nothing, else its next piece
+    wanted: dict[int, list[str]] = {}
+    for _, pieces in TERMS:
+        n = len(pieces) - 1
+        while not (m := _pattern(pieces[:n]).match(text, pos)):
+            n -= 1
+        want = _shown(pieces[n]) if n else "".join(map(_shown, pieces))
+        wanted.setdefault(m.end(), []).append(want)
+    offset = max(wanted)
+    raise ExpressionSyntaxError(offset, tuple(dict.fromkeys(wanted[offset])))
 
 
 def parse_expression(text: str) -> ManifoldExpression:
-    cur = _Cursor(text)
-    blocks = [_parse_term(cur)]
+    block, pos = _parse_term(text, _SPACE.match(text).end())
+    blocks = [block]
     framings: list[int] = []
-    while not cur.eof():
-        if cur.try_literal("#~"):
-            framings.append(1)
-        elif cur.try_literal("#"):
-            framings.append(0)
-        else:
-            raise ExpressionSyntaxError(cur.pos, ("#", "#~"))
-        blocks.append(_parse_term(cur))
-    category = (
-        Category.TOP if any(block_top_only(b) for b in blocks) else Category.SMOOTH
-    )
+    while pos < len(text):
+        join = _JOIN.match(text, pos)
+        if not join:
+            raise ExpressionSyntaxError(pos, ("#", "#~"))
+        framings.append(1 if join.group(1) == "#~" else 0)
+        block, pos = _parse_term(text, join.end())
+        blocks.append(block)
+    category = Category.TOP if any(b.top_only for b in blocks) else Category.SMOOTH
     expr = ManifoldExpression(category, blocks, framings)
     if not expr.has_z2_block():
         raise ExpressionSemanticError(
@@ -123,17 +111,7 @@ def parse_expression(text: str) -> ManifoldExpression:
 
 
 def render_block(b: Block) -> str:
-    if isinstance(b, FakeRP5):
-        return f"X({b.q})"
-    if isinstance(b, FakeRP5Top):
-        return f"X({b.p},{b.q})"
-    if isinstance(b, S2xRP3):
-        return "S2xRP3"
-    if isinstance(b, StarS2xRP3):
-        return "*S2xRP3"
-    if isinstance(b, CP2xS1):
-        return "CP2xS1"
-    return f"{b.k}*(S2xS2)xS1"
+    return _FORMAT[type(b)].format_map(vars(b))
 
 
 def render_expression(e: ManifoldExpression) -> str:

@@ -27,7 +27,9 @@ from fiveclass.algebra import (
 )
 from fiveclass.errors import (
     CategoryMismatchError,
+    ConsistencyError,
     InvalidExpressionError,
+    NonIntegralKError,
     StarInSmoothError,
 )
 from fiveclass.parsing import parse_expression
@@ -248,7 +250,7 @@ _BLOCK_VOCAB_TOP = _BLOCK_VOCAB_SMOOTH + [
 def _expressions(category, vocab, max_blocks=3):
     for size in range(1, max_blocks + 1):
         for blocks in combinations_with_replacement(vocab, size):
-            if not any(algebra.block_has_z2(b) for b in blocks):
+            if not any(b.has_z2 for b in blocks):
                 continue
             for framings in product((0, 1), repeat=size - 1):
                 yield ManifoldExpression(category, blocks, framings)
@@ -358,3 +360,83 @@ def test_standard_form_parameter_ranges():
 def test_parse_expression_matches_direct_construction():
     e = parse_expression("X(3) # S2xRP3 # 2*(S2xS2)xS1")
     assert invariants(e) == invariants(smooth(FakeRP5(3), S2xRP3(), S2xS2xS1(2)))
+
+
+# -- single sources: block contributions, standard forms, public names ------------------
+
+_G = bordism.GroupKind
+_S, _T = Category.SMOOTH, Category.TOP
+_F = bordism.Flavor
+
+# (block, group) -> coordinates, for every block allowed in each of the six groups
+_CONTRIBUTIONS = {
+    _G(_S, _F.PIN_PLUS): {
+        FakeRP5(13): (13,), S2xRP3(): (0,), CP2xS1(): (0,), S2xS2xS1(2): (0,),
+    },
+    _G(_S, _F.PINC): {
+        FakeRP5(13): (5, 0), S2xRP3(): (0, 0), CP2xS1(): (0, 1), S2xS2xS1(2): (0, 0),
+    },
+    _G(_S, _F.PIN_MINUS): {
+        FakeRP5(13): (), S2xRP3(): (), CP2xS1(): (), S2xS2xS1(2): (),
+    },
+    _G(_T, _F.PIN_PLUS): {
+        FakeRP5(13): (0, 5), FakeRP5Top(1, 3): (1, 3), S2xRP3(): (0, 0),
+        StarS2xRP3(): (1, 0), CP2xS1(): (0, 0), S2xS2xS1(2): (0, 0),
+    },
+    _G(_T, _F.PINC): {
+        FakeRP5(13): (0, 5, 0), FakeRP5Top(1, 3): (1, 3, 0), S2xRP3(): (0, 0, 0),
+        StarS2xRP3(): (1, 0, 0), CP2xS1(): (0, 0, 1), S2xS2xS1(2): (0, 0, 0),
+    },
+    _G(_T, _F.PIN_MINUS): {
+        FakeRP5(13): (0,), FakeRP5Top(1, 3): (1,), S2xRP3(): (0,),
+        StarS2xRP3(): (1,), CP2xS1(): (0,), S2xS2xS1(2): (0,),
+    },
+}
+
+
+def test_block_contributions_table():
+    assert set(_CONTRIBUTIONS) == set(bordism.ALL_KINDS)
+    for kind, table in _CONTRIBUTIONS.items():
+        for block, coords in table.items():
+            assert algebra._contribution(block, kind).coords == coords, (block, kind)
+
+
+def test_block_ranks_and_fundamental_groups():
+    ranks = {
+        FakeRP5(13): (0, True), FakeRP5(8): (1, True), FakeRP5Top(1, 3): (0, True),
+        FakeRP5Top(0, 2): (1, True), S2xRP3(): (1, True), StarS2xRP3(): (1, True),
+        CP2xS1(): (1, False), S2xS2xS1(3): (6, False),
+    }
+    for block, (rank, z2) in ranks.items():
+        assert (block.rank, block.has_z2) == (rank, z2), block
+
+
+def test_standard_form_invariants_match_their_expression():
+    for category in (Category.SMOOTH, Category.TOP):
+        for f in enumerate_forms(12, category):
+            assert f.invariants() == invariants(f.expression()), f.text()
+
+
+def test_standard_form_from_inconsistent_invariants_is_consistency_error():
+    # type II needs odd r; r = 2 matches no family
+    kind = bordism.GroupKind(Category.SMOOTH, bordism.Flavor.PIN_MINUS)
+    inv = algebra.Invariants(Category.SMOOTH, W2Type.II, 2, bordism.zero(kind))
+    with pytest.raises(NonIntegralKError) as exc:
+        algebra.standard_form_from_invariants(inv)
+    assert isinstance(exc.value, ConsistencyError)
+
+
+def test_public_names_unchanged():
+    import fiveclass
+
+    assert fiveclass.__all__ == [
+        "Block", "BordismElement", "BundleInput", "CP2xS1", "CanonicalClass",
+        "Category", "Classification", "CohomologyClass", "FakeRP5", "FakeRP5Top",
+        "Flavor", "GroupKind", "IntersectionForm", "Invariants", "Level",
+        "ManifoldExpression", "S2xRP3", "S2xS2xS1", "StandardForm", "StarS2xRP3",
+        "W2Type", "add", "canonicalize", "check_relations", "classify",
+        "connected_sum", "enumerate_forms", "equivalent", "forget_smooth",
+        "from_blocks", "group_info", "invariants", "is_smoothable",
+        "manifold_from_json", "neg", "normalize", "parse_expression",
+        "render_expression", "w2_type",
+    ]

@@ -94,6 +94,19 @@ def test_forget_smooth_examples():
     assert forget_smooth(BordismElement(PINM, ())).coords == (0,)
 
 
+def test_forget_smooth_matches_hand_map():
+    # the map written out per group: KS 0, pin+ class mod 8, pinc unchanged
+    hand = {
+        PINP: lambda c: (0, c[0] % 8),
+        PINC: lambda c: (0, c[0], c[1]),
+        PINM: lambda c: (0,),
+    }
+    targets = {PINP: TPINP, PINC: TPINC, PINM: TPINM}
+    for kind, image in hand.items():
+        for e in elements(kind):
+            assert forget_smooth(e) == BordismElement(targets[kind], image(e.coords))
+
+
 def test_forget_smooth_rejects_top():
     with pytest.raises(KindMismatchError):
         forget_smooth(BordismElement(TPINP, (0, 1)))

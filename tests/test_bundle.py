@@ -116,6 +116,8 @@ def test_bundle_input_validation():
         BundleInput(IntersectionForm([[1]]), 0, c(2, 0))
     with pytest.raises(InvalidFormError):
         BundleInput(IntersectionForm([[1]]), 2, c(2))
+    with pytest.raises(InvalidFormError):
+        BundleInput(IntersectionForm([[1]]), True, c(2))
 
 
 def test_classify_negated_c1_gives_same_answer():
@@ -138,6 +140,14 @@ def test_classify_outputs_satisfy_relations():
         assert check_relations(res.invariants)
         for f in res.smooth_forms:
             assert check_relations(f.invariants())
+
+
+def test_classification_invariants_are_the_homeo_forms():
+    rng = random.Random(17)
+    for _ in range(60):
+        res = classify(random_bundle_input(rng))
+        assert res.invariants == res.homeo_form.invariants()
+        assert res.invariants.ks == res.homeo_form.p
 
 
 def test_stabilization_by_hyperbolic_summand():

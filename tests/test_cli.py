@@ -114,6 +114,36 @@ def test_classify_primitive_c1_exit_two(capsys, tmp_path):
     assert "Smale-Barden" in err
 
 
+def test_classify_rejects_non_integer_input_exit_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    for obj in (
+        {"form": {"matrix": [[1.7]]}, "ks": 0},
+        {"form": {"matrix": [["x"]]}, "ks": 0},
+        {"form": {"blocks": ["1"]}, "ks": True},
+    ):
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
+        assert (code, out) == (2, ""), obj
+        assert err.startswith("error:")
+
+
+def test_classify_non_ascii_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"form": {"blocks": ["1"]}, "note": "\u00e9"}', encoding="utf-8")
+    code, _, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_bordism_arity_exit_two(capsys):
+    for op in ("neg", "canon", "forget", "info"):
+        code, _, err = run(capsys, "bordism", op)
+        assert code == 2, op
+        assert "takes one argument" in err
+    code, _, _ = run(capsys, "bordism", "neg", "pin+:1", "pin+:2")
+    assert code == 2
+
+
 def test_bordism_operations(capsys):
     code, out, _ = run(capsys, "bordism", "add", "pin+:9", "pin+:9")
     assert (code, out.strip()) == (0, "pin+:2")

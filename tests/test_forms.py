@@ -236,3 +236,18 @@ def test_manifold_from_json_rejects_garbage():
         forms.manifold_from_json([1, 2])
     with pytest.raises(InvalidFormError):
         forms.manifold_from_json({"form": {"matrix": [[1]]}, "ks": 2})
+
+
+def test_manifold_from_json_rejects_non_integers():
+    # no coercion: 1.7 is not read as 1, nor true as 1
+    for matrix in ([[1.7]], [["x"]], [[True]], [[1.0]], [[None]], [1], [[1, 0], "ab"]):
+        with pytest.raises(InvalidFormError):
+            forms.manifold_from_json({"form": {"matrix": matrix}})
+    for blocks in ([1], "1H", [["1"]]):
+        with pytest.raises(InvalidFormError):
+            forms.manifold_from_json({"form": {"blocks": blocks}})
+    for ks in (True, False, 1.0, "1"):
+        with pytest.raises(InvalidFormError):
+            forms.manifold_from_json({"form": {"blocks": ["1"]}, "ks": ks})
+    with pytest.raises(InvalidFormError):
+        IntersectionForm([[1.7]])

@@ -1,10 +1,13 @@
 """Tests for the expression grammar: examples, error offsets, round trips."""
 
+from typing import get_args
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiveclass.algebra import (
+    Block,
     CP2xS1,
     Category,
     FakeRP5,
@@ -13,10 +16,9 @@ from fiveclass.algebra import (
     S2xRP3,
     S2xS2xS1,
     StarS2xRP3,
-    block_top_only,
 )
 from fiveclass.errors import ExpressionSemanticError, ExpressionSyntaxError
-from fiveclass.parsing import parse_expression, render_expression
+from fiveclass.parsing import TERMS, parse_expression, render_block, render_expression
 
 
 def test_parse_three_blocks():
@@ -59,7 +61,8 @@ def test_parse_classes_reduce_modulo():
 def test_parse_whitespace_insignificant():
     a = parse_expression("X(1)#S2xRP3")
     b = parse_expression("  X( 1 )  #  S2xRP3 ")
-    assert a == b
+    c = parse_expression("X (1)#S2xRP3")
+    assert a == b == c
 
 
 def test_syntax_error_offsets():
@@ -94,6 +97,62 @@ def test_trailing_join_rejected():
         parse_expression("X(1) #")
 
 
+def test_trailing_join_expects_a_term():
+    # at end of input every term token is expected, not just '<int>'
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expression("X(1) # S2xRP3 #")
+    assert exc.value.offset == 15
+    assert exc.value.expected == (
+        "X(<int>)",
+        "X(<int>,<int>)",
+        "S2xRP3",
+        "*S2xRP3",
+        "CP2xS1",
+        "<int>*(S2xS2)xS1",
+    )
+
+
+def test_non_ascii_digits_are_syntax_errors():
+    for text in ("X(\u00b2)", "X(1,\u0663)", "\u00b2*(S2xS2)xS1 # X(1)"):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression(text)
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expression("X(\u00b2)")
+    assert (exc.value.offset, exc.value.expected) == (2, ("<int>",))
+
+
+def test_unclosed_fake_expects_close_or_comma():
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expression("X(1 # S2xRP3")
+    assert (exc.value.offset, exc.value.expected) == (4, (")", ","))
+
+
+# -- the token table ------------------------------------------------------------------
+
+_SAMPLE_BLOCKS = {
+    FakeRP5(13): "X(13)",
+    FakeRP5Top(1, 3): "X(1,3)",
+    S2xRP3(): "S2xRP3",
+    StarS2xRP3(): "*S2xRP3",
+    CP2xS1(): "CP2xS1",
+    S2xS2xS1(2): "2*(S2xS2)xS1",
+}
+
+
+def test_token_table_covers_every_block_type():
+    assert [t for t, _ in TERMS] == list(get_args(Block))
+    assert {type(b) for b in _SAMPLE_BLOCKS} == set(get_args(Block))
+
+
+def test_render_parse_round_trip_every_token():
+    for block, text in _SAMPLE_BLOCKS.items():
+        assert render_block(block) == text
+        category = Category.TOP if block.top_only else Category.SMOOTH
+        expr = ManifoldExpression(category, (FakeRP5(1), block), (1,))
+        assert render_expression(expr) == f"X(1) #~ {text}"
+        assert parse_expression(render_expression(expr)) == expr
+
+
 # -- round trip -------------------------------------------------------------------
 
 _Z2_BLOCKS = st.one_of(
@@ -119,7 +178,7 @@ def expressions(draw):
         )
     )
     category = (
-        Category.TOP if any(block_top_only(b) for b in blocks) else Category.SMOOTH
+        Category.TOP if any(b.top_only for b in blocks) else Category.SMOOTH
     )
     return ManifoldExpression(category, blocks, framings)
 
