@@ -36,6 +36,7 @@ from .errors import (
     CategoryMismatchError,
     InvalidExpressionError,
     NonIntegralKError,
+    RangeExceededError,
     StarInSmoothError,
 )
 
@@ -451,15 +452,23 @@ def _form_sort_key(f: StandardForm):
     return (f.r, _TYPE_ORDER[f.w2type], f.q or 0, f.s or 0, f.p or 0)
 
 
+# Largest r_max enumerate_forms accepts: about 16000 topological forms, which
+# the CLI lists as JSON in under a second.
+ENUMERATE_R_MAX = 1000
+
+
 def enumerate_forms(
     r_max: int, category: Category, w2type: W2Type | None = None
 ) -> list[StandardForm]:
     """All standard forms of the category with r <= r_max, each once.
 
-    Ordered by (r, type, q, s, p), lexicographically.
+    Ordered by (r, type, q, s, p), lexicographically.  r_max is at most
+    ENUMERATE_R_MAX; a larger one raises RangeExceededError.
     """
     if r_max < 0:
         raise InvalidExpressionError("r_max must be >= 0")
+    if r_max > ENUMERATE_R_MAX:
+        raise RangeExceededError(f"r_max is {r_max}; the limit is {ENUMERATE_R_MAX}")
     ps = (0, 1) if category is Category.TOP else (None,)
     forms = [
         StandardForm(category, t, k, q=q, s=s, p=p)

@@ -24,6 +24,18 @@ from typing import Iterator
 from .errors import InputError, KindMismatchError
 
 
+def ascii_int(text: str) -> int:
+    """The integer `text` spells in ASCII digits, surrounding whitespace allowed.
+
+    Unlike int(), other Unicode decimal digits and underscores are rejected
+    with ValueError, so that argparse and the callers report them as input
+    errors instead of reading them as numbers.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 class Category(str, Enum):
     SMOOTH = "smooth"
     TOP = "top"
@@ -218,7 +230,7 @@ def parse_element(text: str) -> BordismElement:
         rest = rest[1:-1]
     parts = [p.strip() for p in rest.split(",")] if rest.strip() else []
     try:
-        coords = [int(p) for p in parts if p != ""]
+        coords = [ascii_int(p) for p in parts if p != ""]
     except ValueError as exc:
         raise InputError(f"bad coordinates in element {text!r}") from exc
     return BordismElement(kind, coords)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Sequence
 
 from . import ahss, algebra, bordism, bundle, forms
 from .algebra import Category, Invariants, Level, StandardForm, W2Type
+from .bordism import ascii_int
 from .errors import ConsistencyError, FiveclassError, InputError
 from .parsing import parse_expression, render_expression
 
@@ -134,7 +136,7 @@ def _cmd_classify(args) -> int:
         raise InputError(f"malformed JSON input: {exc}") from exc
     form, ks = forms.manifold_from_json(obj)
     try:
-        pairings = [int(x) for x in args.c1.split(",")]
+        pairings = [ascii_int(x) for x in args.c1.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --c1 value {args.c1!r}: comma-separated integers") from exc
     inp = bundle.BundleInput(form, ks, forms.CohomologyClass(pairings))
@@ -414,7 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("enumerate", help="list standard forms with r <= r-max")
-    p.add_argument("--r-max", type=int, required=True, dest="r_max")
+    p.add_argument(
+        "--r-max",
+        type=ascii_int,
+        required=True,
+        dest="r_max",
+        help=f"at most {algebra.ENUMERATE_R_MAX}",
+    )
     p.add_argument(
         "--category",
         choices=[c.value for c in Category],
@@ -433,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bordism)
 
     p = sub.add_parser("ahss", help="spectral-sequence order check")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=ascii_int, required=True)
     p.add_argument("--twist", default="none", help="none, 2eta or gamma")
     p.add_argument("--dump-pages", action="store_true", dest="dump_pages")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ahss)
 
     p = sub.add_parser("selftest", help="run the internal consistency checks")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--count", type=int, default=200, help="random forms to test")
+    p.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED)
+    p.add_argument("--count", type=ascii_int, default=200, help="random forms to test")
     p.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -451,7 +459,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the answer was complete and only the reader left; silence the
+        # interpreter's final flush of the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from fiveclass.bordism import (
     Flavor,
     GroupKind,
     add,
+    ascii_int,
     canonicalize,
     elements,
     forget_smooth,
@@ -172,3 +173,19 @@ def test_render_formats():
     assert render_element(BordismElement(PINC, (1, 1))) == "pinc:(1,1)"
     assert render_element(BordismElement(PINM, ())) == "pin-:()"
     assert render_element(BordismElement(TPINM, (1,))) == "top-pin-:1"
+
+
+def test_ascii_int():
+    assert ascii_int("7") == 7
+    assert ascii_int(" -12 ") == -12
+    assert ascii_int("+3") == 3
+    for text in ("\u0663", "1\u0660", "1_0", "", "+", "1.0", "0x1", "\u00b2", " 1 2"):
+        with pytest.raises(ValueError):
+            ascii_int(text)
+
+
+def test_parse_element_rejects_non_ascii_digits():
+    assert parse_element("pin+:3").coords == (3,)
+    for text in ("pin+:\u0663", "pinc:(\u0661,1)", "pinc:(1,1_0)"):
+        with pytest.raises(InputError):
+            parse_element(text)

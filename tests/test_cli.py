@@ -1,8 +1,17 @@
 """End-to-end CLI tests: outputs, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from fiveclass.algebra import ENUMERATE_R_MAX
 from fiveclass.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -210,3 +219,81 @@ def test_selftest(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert out.count("ok:") == 5
+
+
+# -- ASCII-only integers ----------------------------------------------------------
+
+def test_classify_c1_non_ascii_digits_exit_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"form": {"blocks": ["1", "1"]}, "ks": 0}))
+    code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "\u0662,\u0662")
+    assert (code, out) == (2, "")
+    assert "--c1" in err
+    code, out, _ = run(capsys, "classify", "--input", str(path), "--c1", " 2, 2")
+    assert code == 0
+    assert "c1=(2,2)" in out
+
+
+def test_bordism_non_ascii_coordinate_exit_two(capsys):
+    code, out, err = run(capsys, "bordism", "neg", "pin+:\u0663")
+    assert (code, out) == (2, "")
+    assert "bad coordinates" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ahss", "--r", "\u0661"],
+        ["enumerate", "--r-max", "\u0661", "--category", "smooth"],
+        ["selftest", "--seed", "\u0661"],
+        ["selftest", "--count", "\u0661"],
+        ["selftest", "--count", "1_0"],
+    ],
+)
+def test_integer_options_reject_non_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+# -- size limits --------------------------------------------------------------------
+
+def test_enumerate_r_max_above_limit_exit_two(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--r-max", str(ENUMERATE_R_MAX + 1), "--category", "top"
+    )
+    assert (code, out) == (2, "")
+    assert "limit" in err
+
+
+def test_classify_rank_above_limit_exit_two(capsys, tmp_path):
+    from fiveclass.forms import MAX_RANK
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"form": {"blocks": ["1"] * (MAX_RANK + 1)}}))
+    code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
+    assert (code, out) == (2, "")
+    assert "limit" in err
+
+
+# -- a closed stdout ----------------------------------------------------------------
+
+def test_closed_stdout_is_not_a_traceback(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"form": {"blocks": ["1", "1"]}, "ks": 0}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has left before the first byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiveclass", "classify", "--input", str(path), "--c1", "2,2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode in (0, 2, 3)
+    assert "Traceback" not in proc.stderr

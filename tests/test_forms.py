@@ -1,20 +1,28 @@
 """Tests for exact intersection-form arithmetic."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    fraction_signature,
+    fraction_square,
+    gauss_det,
+    sympy_det,
+    sympy_square,
+)
 
 from fiveclass import forms
 from fiveclass.errors import (
     InvalidFormError,
     NotSymmetricError,
     NotUnimodularError,
+    RangeExceededError,
 )
 from fiveclass.forms import (
     BLOCK_MATRICES,
+    MAX_RANK,
     CohomologyClass,
     IntersectionForm,
     bareiss_determinant,
@@ -23,26 +31,6 @@ from fiveclass.forms import (
 
 E8 = from_blocks(["E8"])
 H = from_blocks(["H"])
-
-
-def gauss_det(rows):
-    """Independent determinant route: plain Gaussian elimination on Fractions."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
 
 
 # -- validation ----------------------------------------------------------------
@@ -251,3 +239,152 @@ def test_manifold_from_json_rejects_non_integers():
             forms.manifold_from_json({"form": {"blocks": ["1"]}, "ks": ks})
     with pytest.raises(InvalidFormError):
         IntersectionForm([[1.7]])
+
+
+# -- the integer kernel against the oracles ----------------------------------------
+
+BLOCK_SIGNATURES = {"1": 1, "-1": -1, "H": 0, "E8": 8}
+
+
+def _random_blocks(rng, max_rank):
+    names, rank = [], 0
+    while True:
+        name = rng.choice(sorted(BLOCK_MATRICES))
+        rank += len(BLOCK_MATRICES[name])
+        if rank > max_rank:
+            return names or ["1"]
+        names.append(name)
+
+
+def _permuted(rng, rows):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def _conjugated(rng, rows):
+    n = len(rows)
+    return _transform(IntersectionForm(rows), _random_unimodular(rng, n, 3 * n)).rows
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(r) + [0] * m for r in a] + [[0] * n + list(r) for r in b]
+
+
+def _form_kinds(rng):
+    """(rows, signature) of the three kinds of forms, each from its blocks."""
+    names = _random_blocks(rng, 12)
+    extra = _random_blocks(rng, 6)
+    rows = from_blocks(names).rows
+    sig = sum(BLOCK_SIGNATURES[b] for b in names)
+    return {
+        # interleaved pieces
+        "permuted block sum": (_permuted(rng, rows), sig),
+        # one piece, unless the conjugation happens to miss a block
+        "conjugated": (_conjugated(rng, rows), sig),
+        # a dense piece beside blocks, interleaved
+        "conjugated + blocks": (
+            _permuted(rng, _block_sum(_conjugated(rng, rows), from_blocks(extra).rows)),
+            sig + sum(BLOCK_SIGNATURES[b] for b in extra),
+        ),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fraction_oracles(seed):
+    rng = random.Random(seed)
+    for kind, (rows, sig) in _form_kinds(rng).items():
+        q = IntersectionForm(rows)
+        p = [rng.randint(-5, 5) for _ in rows]
+        assert q.determinant == gauss_det(rows), kind
+        assert q.signature() == fraction_signature(rows) == sig, kind
+        assert q.square(CohomologyClass(p)) == fraction_square(rows, p), kind
+        assert sorted(i for piece in q.pieces for i in piece) == list(range(q.rank))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_sympy_oracles(seed):
+    rng = random.Random(seed)
+    for kind, (rows, _) in _form_kinds(rng).items():
+        q = IntersectionForm(rows)
+        p = [rng.randint(-5, 5) for _ in rows]
+        assert q.determinant == sympy_det(rows), kind
+        assert q.square(CohomologyClass(p)) == sympy_square(rows, p), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.booleans())
+def test_signature_kernel_on_symmetric_matrices(seed, n, zero_diagonal):
+    # any symmetric matrix, singular ones included; a zero diagonal forces
+    # the hyperbolic split on pieces of rank above 2
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    assert forms._signature([list(r) for r in rows]) == fraction_signature(rows)
+
+
+def test_bareiss_matches_sympy_on_singular_and_non_unimodular():
+    for rows in ([[0, 0], [0, 0]], [[2, 1], [1, 2]], [[0, 2, 1], [2, 0, 3], [1, 3, 0]]):
+        assert bareiss_determinant(rows) == sympy_det(rows) == gauss_det(rows)
+
+
+def test_split_of_permuted_block_sum():
+    # H on old indices 0-1, E8 on 2-9, <1> on 10; new index i is old perm[i]
+    perm = [10, 0, 2, 5, 1, 9, 3, 7, 4, 8, 6]
+    rows = from_blocks(["H", "E8", "1"]).rows
+    q = IntersectionForm([[rows[i][j] for j in perm] for i in perm])
+    assert q.pieces == ((0,), (1, 4), (2, 3, 5, 6, 7, 8, 9, 10))
+    assert q.determinant == -1
+    assert q.signature() == 9
+    assert from_blocks(["1", "H", "E8", "-1"]).pieces == (
+        (0,), (1, 2), tuple(range(3, 11)), (11,)
+    )
+
+
+def test_dense_form_is_one_piece():
+    rows = [[2, 1], [1, 1]]
+    assert IntersectionForm(rows).pieces == ((0, 1),)
+
+
+def test_non_unimodular_piece_reports_whole_determinant():
+    with pytest.raises(NotUnimodularError) as exc:
+        IntersectionForm(_block_sum([[2, 1], [1, 2]], [[5]]))
+    assert exc.value.abs_det == 15
+
+
+def test_signature_is_not_computed_at_construction(monkeypatch):
+    def fail(rows):
+        raise AssertionError("signature computed eagerly")
+
+    monkeypatch.setattr(forms, "_signature", fail)
+    q = from_blocks(["1", "H", "E8"])
+    q.square(CohomologyClass([1] * q.rank))
+    q.is_even()
+
+
+# -- size limit -----------------------------------------------------------------------
+
+def test_rank_above_limit_is_range_error():
+    n = MAX_RANK + 1
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(RangeExceededError):
+        IntersectionForm(identity)
+    with pytest.raises(RangeExceededError):
+        from_blocks(["1"] * n)
+    with pytest.raises(RangeExceededError):
+        forms.manifold_from_json({"form": {"blocks": ["E8"] * 10**6}})
+    with pytest.raises(RangeExceededError):
+        forms.manifold_from_json({"form": {"matrix": identity}})
+
+
+def test_rank_at_limit_is_accepted():
+    q = from_blocks(["H"] * (MAX_RANK // 2))
+    assert q.rank == MAX_RANK
+    assert q.signature() == 0
+    assert len(q.pieces) == MAX_RANK // 2
