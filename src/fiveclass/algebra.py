@@ -20,7 +20,12 @@ for an expression that is one + (number of Z/2 blocks - 1).  A framing bit
 on a join negates the bordism contribution of its right operand; the
 convention is calibrated by X(0) = X(1) join X(1) with the twisted glueing
 and X(2) = X(1) join X(1) with the untwisted one, the only instances where
-the two glueings differ.
+the two glueings differ.  [P] of an expression is computed as signed integer
+sums of the blocks' generator coefficients, reduced once by the group's
+orders.
+
+Block fields and framing bits must be ints (not bools, floats or strings);
+anything else raises InvalidExpressionError.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ FLAVOR_FOR_TYPE = {
 
 # -- building blocks ----------------------------------------------------------
 
+def _int_field(name: str, value) -> int:
+    """value itself, if it is an int (not a bool, float or digit string)."""
+    if type(value) is not int:
+        raise InvalidExpressionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FakeRP5:
     """Smooth block X(q), q taken mod 16 (generator-relative), class q*RP4.
@@ -69,7 +81,7 @@ class FakeRP5:
     top_only = False
 
     def __init__(self, q: int):
-        object.__setattr__(self, "q", int(q) % 16)
+        object.__setattr__(self, "q", _int_field("q", q) % 16)
 
     @property
     def rank(self) -> int:
@@ -89,8 +101,8 @@ class FakeRP5Top:
     top_only = True
 
     def __init__(self, p: int, q: int):
-        object.__setattr__(self, "p", int(p) % 2)
-        object.__setattr__(self, "q", int(q) % 8)
+        object.__setattr__(self, "p", _int_field("p", p) % 2)
+        object.__setattr__(self, "q", _int_field("q", q) % 8)
 
     @property
     def rank(self) -> int:
@@ -145,8 +157,7 @@ class S2xS2xS1:
     top_only = False
 
     def __init__(self, k: int):
-        k = int(k)
-        if k < 1:
+        if _int_field("k", k) < 1:
             raise InvalidExpressionError(f"S2xS2 count must be >= 1, got {k}")
         object.__setattr__(self, "k", k)
 
@@ -159,14 +170,6 @@ class S2xS2xS1:
 
 
 Block = Union[FakeRP5, FakeRP5Top, S2xRP3, StarS2xRP3, CP2xS1, S2xS2xS1]
-
-
-def _contribution(b: Block, kind: GroupKind) -> BordismElement:
-    """Bordism class of the block's characteristic piece in the given group:
-    the coefficient of each of the group's generators (0 where the group
-    lacks one; smooth fakes thus enter the topological groups with KS 0)."""
-    coeffs = b.coefficients()
-    return BordismElement(kind, (coeffs.get(g, 0) for g in kind.generators))
 
 
 # -- expressions --------------------------------------------------------------
@@ -190,7 +193,7 @@ class ManifoldExpression:
             raise InvalidExpressionError("expression needs at least one block")
         if framings is None:
             framings = (0,) * (len(blocks) - 1)
-        framings = tuple(int(f) % 2 for f in framings)
+        framings = tuple(_int_field("framing bit", f) % 2 for f in framings)
         if len(framings) != len(blocks) - 1:
             raise InvalidExpressionError(
                 f"{len(blocks)} blocks need {len(blocks) - 1} framing bits, "
@@ -229,7 +232,7 @@ def connected_sum(
     return ManifoldExpression(
         a.category,
         a.blocks + b.blocks,
-        a.framings + (int(framing) % 2,) + b.framings,
+        a.framings + (framing,) + b.framings,
     )
 
 
@@ -284,8 +287,12 @@ def invariants(e: ManifoldExpression) -> Invariants:
     """Compute (w2-type, r, [P]) for an expression.
 
     r = sum of block ranks + (number of Z/2 blocks - 1); the w2-type is read
-    off from block presence; [P] is the signed sum of block contributions,
-    a join's framing bit negating the right operand's term.
+    off from block presence.  [P] is the signed sum of block contributions,
+    a join's framing bit negating the right operand's term.  The blocks'
+    generator coefficients are summed as plain integers and reduced once,
+    when the element is built; reduction is a homomorphism, so this equals
+    a sum reduced after every term.  A generator the group lacks is dropped
+    (smooth fakes thus enter the topological groups with KS 0).
     """
     if not e.has_z2_block():
         raise InvalidExpressionError(
@@ -295,13 +302,12 @@ def invariants(e: ManifoldExpression) -> Invariants:
     r = sum(b.rank for b in e.blocks) + z2_count - 1
     w2type = _w2type_of(e.blocks)
     kind = GroupKind(e.category, FLAVOR_FOR_TYPE[w2type])
-    total = bordism.zero(kind)
-    for i, b in enumerate(e.blocks):
-        contrib = _contribution(b, kind)
-        if i > 0 and e.framings[i - 1]:
-            contrib = bordism.neg(contrib)
-        total = bordism.add(total, contrib)
-    return Invariants(e.category, w2type, r, total)
+    sums: dict[str, int] = {}
+    for b, bit in zip(e.blocks, (0,) + e.framings):
+        for g, c in b.coefficients().items():
+            sums[g] = sums.get(g, 0) + (-c if bit else c)
+    p_class = BordismElement(kind, (sums.get(g, 0) for g in kind.generators))
+    return Invariants(e.category, w2type, r, p_class)
 
 
 def check_relations(inv: Invariants) -> bool:

@@ -124,13 +124,19 @@ def group_info(kind: GroupKind) -> GroupInfo:
 
 @dataclass(frozen=True)
 class BordismElement:
-    """Element of one of the six groups; coordinates are reduced residues."""
+    """Element of one of the six groups; coordinates are reduced residues.
+
+    Coordinates must be ints; a bool, float or digit string raises InputError.
+    """
 
     kind: GroupKind
     coords: tuple[int, ...]
 
     def __init__(self, kind: GroupKind, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        for c in coords:
+            if type(c) is not int:
+                raise InputError(f"{kind.name} coordinates must be integers, got {c!r}")
         orders = kind.orders
         if len(coords) != len(orders):
             raise InputError(

@@ -18,10 +18,14 @@ from typing import Sequence
 from . import ahss, algebra, bordism, bundle, forms
 from .algebra import Category, Invariants, Level, StandardForm, W2Type
 from .bordism import ascii_int
-from .errors import ConsistencyError, FiveclassError, InputError
+from .errors import ConsistencyError, FiveclassError, InputError, RangeExceededError
 from .parsing import parse_expression, render_expression
 
 DEFAULT_SEED = 1729
+
+# Largest selftest --count: at the limit selftest runs for about 50 s on
+# a 2-CPU x86-64 host with CPython 3.11.
+SELFTEST_COUNT_MAX = 100_000
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -128,7 +132,7 @@ def _cmd_classify(args) -> int:
         try:
             with open(args.input, "r", encoding="ascii") as fh:
                 raw = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
             raise InputError(f"cannot read {args.input}: {exc}") from exc
     try:
         obj = json.loads(raw)
@@ -292,7 +296,8 @@ def _selftest_forms(rng: random.Random, count: int) -> None:
         q = random_form(rng)
         n = q.rank
         c = random_characteristic(rng, q)
-        assert q.is_characteristic(c)
+        if not q.is_characteristic(c):
+            raise ConsistencyError("random characteristic vector is not characteristic")
         sq = q.square(c)
         if (sq - q.signature()) % 8 != 0:
             raise ConsistencyError("van der Blij congruence failed")
@@ -364,6 +369,10 @@ def _selftest_bundle(rng: random.Random, count: int) -> None:
 
 
 def _cmd_selftest(args) -> int:
+    if not 1 <= args.count <= SELFTEST_COUNT_MAX:
+        raise RangeExceededError(
+            f"--count is {args.count}; it must be between 1 and {SELFTEST_COUNT_MAX}"
+        )
     rng = random.Random(args.seed)
     _selftest_bordism()
     _selftest_algebra()
@@ -449,7 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the internal consistency checks")
     p.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED)
-    p.add_argument("--count", type=ascii_int, default=200, help="random forms to test")
+    p.add_argument(
+        "--count",
+        type=ascii_int,
+        default=200,
+        help=f"random forms to test, 1 to {SELFTEST_COUNT_MAX}",
+    )
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -1,9 +1,11 @@
-"""Slow, obviously correct oracles for the integer kernels in fiveclass.forms.
+"""Slow, obviously correct oracles for the fast kernels in fiveclass.
 
 The Fraction routines are the package's former implementations, kept
 unchanged: Lagrange diagonalization for the signature and a Gauss-Jordan
 solve for p^T Q^{-1} p.  The sympy routines are independent of both.
-sympy is a test-only dependency.
+sympy is a test-only dependency.  fold_p_class is the former [P] of
+algebra.invariants: one validated group element per block, negated on a
+framed join and added to a running total.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Sequence
 
 import sympy
 
+from fiveclass import algebra, bordism
+from fiveclass.bordism import BordismElement, GroupKind
 from fiveclass.errors import InvalidFormError
 
 
@@ -112,3 +116,24 @@ def sympy_square(rows, pairings) -> int:
     val = (p.T * sympy.Matrix(rows).inv() * p)[0, 0]
     assert val.is_integer
     return int(val)
+
+
+def _contribution(b: algebra.Block, kind: GroupKind) -> BordismElement:
+    """Bordism class of the block's characteristic piece in the given group:
+    the coefficient of each of the group's generators (0 where the group
+    lacks one; smooth fakes thus enter the topological groups with KS 0)."""
+    coeffs = b.coefficients()
+    return BordismElement(kind, (coeffs.get(g, 0) for g in kind.generators))
+
+
+def fold_p_class(e: algebra.ManifoldExpression) -> BordismElement:
+    """[P] of an expression, reduced after every block."""
+    w2type = algebra._w2type_of(e.blocks)
+    kind = GroupKind(e.category, algebra.FLAVOR_FOR_TYPE[w2type])
+    total = bordism.zero(kind)
+    for i, b in enumerate(e.blocks):
+        contrib = _contribution(b, kind)
+        if i > 0 and e.framings[i - 1]:
+            contrib = bordism.neg(contrib)
+        total = bordism.add(total, contrib)
+    return total

@@ -4,6 +4,9 @@ equivalence levels, parity relations."""
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import _contribution, fold_p_class
 
 from fiveclass import algebra, bordism
 from fiveclass.algebra import (
@@ -398,7 +401,38 @@ def test_block_contributions_table():
     assert set(_CONTRIBUTIONS) == set(bordism.ALL_KINDS)
     for kind, table in _CONTRIBUTIONS.items():
         for block, coords in table.items():
-            assert algebra._contribution(block, kind).coords == coords, (block, kind)
+            assert _contribution(block, kind).coords == coords, (block, kind)
+
+
+_SMOOTH_BLOCKS = st.one_of(
+    st.builds(FakeRP5, st.integers(-10**6, 10**6)),
+    st.just(S2xRP3()),
+    st.just(CP2xS1()),
+    st.builds(S2xS2xS1, st.integers(1, 10**6)),
+)
+_TOP_BLOCKS = st.one_of(
+    _SMOOTH_BLOCKS,
+    st.builds(FakeRP5Top, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    st.just(StarS2xRP3()),
+)
+
+
+@st.composite
+def _joins(draw):
+    category = draw(st.sampled_from(Category))
+    vocab = _TOP_BLOCKS if category is Category.TOP else _SMOOTH_BLOCKS
+    blocks = draw(
+        st.lists(vocab, min_size=1, max_size=64).filter(lambda bs: any(b.has_z2 for b in bs))
+    )
+    n = len(blocks) - 1
+    framings = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return ManifoldExpression(category, blocks, framings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_joins())
+def test_p_class_matches_per_block_fold(e):
+    assert invariants(e).p_class == fold_p_class(e)
 
 
 def test_block_ranks_and_fundamental_groups():
@@ -415,6 +449,26 @@ def test_standard_form_invariants_match_their_expression():
     for category in (Category.SMOOTH, Category.TOP):
         for f in enumerate_forms(12, category):
             assert f.invariants() == invariants(f.expression()), f.text()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FakeRP5(2.9),
+        lambda: FakeRP5("\u0663"),
+        lambda: FakeRP5(True),
+        lambda: FakeRP5Top(1.0, 3),
+        lambda: FakeRP5Top(1, "3"),
+        lambda: S2xS2xS1("\u0663"),
+        lambda: S2xS2xS1(2.0),
+        lambda: smooth(FakeRP5(1), FakeRP5(1), framings=[1.5]),
+        lambda: smooth(FakeRP5(1), FakeRP5(1), framings=[True]),
+        lambda: connected_sum(smooth(FakeRP5(1)), smooth(FakeRP5(1)), "1"),
+    ],
+)
+def test_non_int_block_fields_and_framings_rejected(make):
+    with pytest.raises(InvalidExpressionError):
+        make()
 
 
 def test_standard_form_from_inconsistent_invariants_is_consistency_error():

@@ -74,6 +74,12 @@ def test_wrong_coordinate_count():
         BordismElement(PINP, (1, 2))
 
 
+@pytest.mark.parametrize("coord", [2.9, "\u0663", "3", True])
+def test_non_int_coordinate_rejected(coord):
+    with pytest.raises(InputError):
+        BordismElement(PINP, [coord])
+
+
 def test_canonicalize_examples():
     assert canonicalize(BordismElement(PINP, (13,))).rep == (3,)
     assert canonicalize(BordismElement(PINC, (7, 1))).rep == (1, 1)

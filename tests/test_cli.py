@@ -1,15 +1,20 @@
 """End-to-end CLI tests: outputs, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fiveclass.algebra import ENUMERATE_R_MAX
-from fiveclass.cli import main
+from fiveclass.cli import SELFTEST_COUNT_MAX, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,6 +117,9 @@ def test_classify_missing_file_exit_two(capsys, tmp_path):
     code, _, _ = run(
         capsys, "classify", "--input", str(tmp_path / "nope.json"), "--c1", "2"
     )
+    assert code == 2
+    # a path open() refuses outright (main(argv) called in process)
+    code, _, _ = run(capsys, "classify", "--input", "m\x00.json", "--c1", "2")
     assert code == 2
 
 
@@ -297,3 +305,107 @@ def test_closed_stdout_is_not_a_traceback(tmp_path):
         os.close(write_end)
     assert proc.returncode in (0, 2, 3)
     assert "Traceback" not in proc.stderr
+
+
+# -- selftest --count bounds ----------------------------------------------------------
+
+@pytest.mark.parametrize("count", ["0", "-5", str(SELFTEST_COUNT_MAX + 1)])
+def test_selftest_count_out_of_range_exit_two(capsys, count):
+    code, out, err = run(capsys, "selftest", "--count", count)
+    assert (code, out) == (2, "")
+    assert str(SELFTEST_COUNT_MAX) in err
+
+
+def test_selftest_count_of_one_runs(capsys, monkeypatch):
+    from fiveclass import cli
+
+    # the exhaustive group-axiom check does not depend on --count
+    monkeypatch.setattr(cli, "_selftest_bordism", lambda: None)
+    code, out, _ = run(capsys, "selftest", "--count", "1")
+    assert code == 0
+    assert "on 1 random block forms" in out
+
+
+# -- the exit-code contract under fuzzed argv -------------------------------------------
+
+_FLAGS = [
+    "--json", "--help", "-h", "--level", "diffeo", "homeo", "homotopy", "--category",
+    "smooth", "top", "--type", "I", "II", "III", "--r-max", "--r", "--twist", "none",
+    "2eta", "gamma", "--dump-pages", "--seed", "--count", "--input", "-", ".", "--c1",
+    "table", "info", "add", "neg", "canon", "forget", "--", "-x", "--bogus",
+]
+# small integers, and integers just past each limit, which are rejected at once:
+# none of them starts a long run
+_INTEGERS = [
+    "-2", "-1", "0", "-0", "+1", "1", "2", "3", "5", "8", "9", "60", "2,0", "2,0,0",
+    str(ENUMERATE_R_MAX + 1), str(SELFTEST_COUNT_MAX + 1), str(2**64), str(-(2**64)),
+]
+_ODD_TEXT = ["", " ", "٣", "²", "１", "1_0", "1.5", "٢,٢"]
+_FRAGMENTS = [
+    "X(1)", "X(3)", "X(-17)", "X(1,3)", "X(-1,-3)", "S2xRP3", "*S2xRP3", "CP2xS1",
+    "2*(S2xS2)xS1", "0*(S2xS2)xS1", "#", "#~", "X(1) # CP2xS1", "X(1) #~ X(1)", "X(",
+    "X(²)", "X(1) #", "X(99999999999999999999)", "CP2xS1 # 3*(S2xS2)xS1",
+    "99999999999*(S2xS2)xS1 # X(0,1)", "X(1)#*S2xRP3",
+]
+_ELEMENTS = [
+    "pin+:7", "pinc:(1,1)", "top-pin+:(1,3)", "pin-:()", "top-pinc:(1,2,3)", "pin+:",
+    "pin+:(1,2)", "foo:1", "pin+:٣", "pinc:(1.5,1)", "top-pin-:1", "pin+:-3",
+]
+_TOKENS = st.one_of(
+    st.sampled_from(_FLAGS + _INTEGERS + _ODD_TEXT + _FRAGMENTS + _ELEMENTS),
+    # a fixed alphabet: st.text's default one costs seconds to build on a fresh
+    # hypothesis database
+    st.text("0123456789+-,.()#~*: xXSRPCpin٣²\x00\u00e9", max_size=6),
+)
+_STDIN = [
+    '{"form": {"matrix": [[1]]}, "ks": 0}', '{"form": {"blocks": ["1", "1"]}, "ks": 0}',
+    '{"form": {"blocks": ["H"]}}', '{"form": {"blocks": ["E8"]}, "ks": 1}', "", "[",
+    "null", '{"form": {"matrix": [[1.7]]}}', '{"form": {"blocks": ["1"]}, "ks": true}',
+]
+
+
+def _slow(argv):
+    """An in-range --r-max above 60 (a long listing); selftest gets its own test."""
+    if argv[0] != "enumerate":
+        return False
+    return any(t.isascii() and t.strip().lstrip("+-").isdigit()
+               and 60 < int(t) <= ENUMERATE_R_MAX for t in argv)
+
+
+def _exit_code(argv, stdin_text):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ), mock.patch("sys.stdin", io.StringIO(stdin_text)):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            return exc.code
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(
+        ["classify", "invariants", "normalize", "compare", "enumerate", "bordism", "ahss"]
+    ),
+    st.lists(_TOKENS, max_size=7),
+    st.sampled_from(_STDIN),
+)
+def test_exit_codes_under_fuzzed_argv(command, tokens, stdin_text):
+    argv = [command, *tokens]
+    assume(not _slow(argv))
+    assert _exit_code(argv, stdin_text) in (0, 2, 3), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_TOKENS, max_size=4),
+    st.sampled_from(["-1", "0", "1", "5", "٣", ""]),
+)
+def test_selftest_exit_codes_under_fuzzed_argv(tokens, count):
+    # the last --count wins, and it is at most 5; the exhaustive group-axiom
+    # check (~1 s, the same for every argv) is left to test_selftest
+    from fiveclass import cli
+
+    argv = ["selftest", *tokens, "--count", count]
+    with mock.patch.object(cli, "_selftest_bordism", lambda: None):
+        assert _exit_code(argv, "") in (0, 2, 3), argv
