@@ -20,17 +20,21 @@ for an expression that is one + (number of Z/2 blocks - 1).  A framing bit
 on a join negates the bordism contribution of its right operand; the
 convention is calibrated by X(0) = X(1) join X(1) with the twisted glueing
 and X(2) = X(1) join X(1) with the untwisted one, the only instances where
-the two glueings differ.  [P] of an expression is computed as signed integer
-sums of the blocks' generator coefficients, reduced once by the group's
-orders.
+the two glueings differ.
 
-Block fields and framing bits must be ints (not bools, floats or strings);
-anything else raises InvalidExpressionError.
+A ManifoldExpression walks its blocks once, when it is built, and keeps the
+sum of block ranks, the number of Z/2 blocks, the set of block types and
+the framing-signed sums of the blocks' generator coefficients.  invariants
+reads r, the w2-type and [P] off these, without another walk; [P] is the
+coefficient sums reduced once by the group's orders.
+
+Block fields, framing bits and StandardForm fields must be ints (not bools,
+floats or strings); anything else raises InvalidExpressionError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from typing import Iterable, Union
@@ -186,6 +190,13 @@ class ManifoldExpression:
     category: Category
     blocks: tuple[Block, ...]
     framings: tuple[int, ...]
+    # sums over the blocks, made in one walk on construction: ranks, Z/2
+    # blocks, and generator coefficients signed by the framing bits; and the
+    # set of block types
+    _rank_sum: int = field(init=False, repr=False, compare=False)
+    _z2_count: int = field(init=False, repr=False, compare=False)
+    _types: frozenset = field(init=False, repr=False, compare=False)
+    _sums: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, category: Category, blocks: Iterable[Block], framings=None):
         blocks = tuple(blocks)
@@ -199,22 +210,34 @@ class ManifoldExpression:
                 f"{len(blocks)} blocks need {len(blocks) - 1} framing bits, "
                 f"got {len(framings)}"
             )
-        if category is Category.SMOOTH:
-            for b in blocks:
+        smooth = category is Category.SMOOTH
+        rank_sum = z2_count = 0
+        types = set()
+        sums: dict[str, int] = {}
+        for b, bit in zip(blocks, (0,) + framings):
+            if smooth and b.top_only:
                 if isinstance(b, StarS2xRP3):
                     raise StarInSmoothError(
                         "*S2xRP3 exists only in the topological category"
                     )
-                if b.top_only:
-                    raise InvalidExpressionError(
-                        "X(p,q) blocks exist only in the topological category"
-                    )
+                raise InvalidExpressionError(
+                    "X(p,q) blocks exist only in the topological category"
+                )
+            rank_sum += b.rank
+            z2_count += b.has_z2
+            types.add(type(b))
+            for g, c in b.coefficients().items():
+                sums[g] = sums.get(g, 0) + (-c if bit else c)
         object.__setattr__(self, "category", category)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "framings", framings)
+        object.__setattr__(self, "_rank_sum", rank_sum)
+        object.__setattr__(self, "_z2_count", z2_count)
+        object.__setattr__(self, "_types", frozenset(types))
+        object.__setattr__(self, "_sums", sums)
 
     def has_z2_block(self) -> bool:
-        return any(b.has_z2 for b in self.blocks)
+        return self._z2_count > 0
 
 
 def connected_sum(
@@ -272,10 +295,11 @@ class Invariants:
         return bordism.canonicalize(self.p_class)
 
 
-def _w2type_of(blocks: tuple[Block, ...]) -> W2Type:
-    has_cp2 = any(isinstance(b, CP2xS1) for b in blocks)
-    has_fake = any(isinstance(b, (FakeRP5, FakeRP5Top)) for b in blocks)
-    has_s2rp3 = any(isinstance(b, (S2xRP3, StarS2xRP3)) for b in blocks)
+def _w2type_of(types: frozenset) -> W2Type:
+    """The w2-type of a join of blocks of the given types."""
+    has_cp2 = CP2xS1 in types
+    has_fake = FakeRP5 in types or FakeRP5Top in types
+    has_s2rp3 = S2xRP3 in types or StarS2xRP3 in types
     if has_cp2 or (has_fake and has_s2rp3):
         return W2Type.I
     if has_fake:
@@ -289,24 +313,22 @@ def invariants(e: ManifoldExpression) -> Invariants:
     r = sum of block ranks + (number of Z/2 blocks - 1); the w2-type is read
     off from block presence.  [P] is the signed sum of block contributions,
     a join's framing bit negating the right operand's term.  The blocks'
-    generator coefficients are summed as plain integers and reduced once,
-    when the element is built; reduction is a homomorphism, so this equals
-    a sum reduced after every term.  A generator the group lacks is dropped
-    (smooth fakes thus enter the topological groups with KS 0).
+    generator coefficients are summed as plain integers, when the
+    expression is built, and reduced once here; reduction is a
+    homomorphism, so this equals a sum reduced after every term.  A
+    generator the group lacks is dropped (smooth fakes thus enter the
+    topological groups with KS 0).  The cost does not grow with the number
+    of blocks.
     """
     if not e.has_z2_block():
         raise InvalidExpressionError(
             "expression has no Z/2 block, so its fundamental group is not Z/2"
         )
-    z2_count = sum(1 for b in e.blocks if b.has_z2)
-    r = sum(b.rank for b in e.blocks) + z2_count - 1
-    w2type = _w2type_of(e.blocks)
+    r = e._rank_sum + e._z2_count - 1
+    w2type = _w2type_of(e._types)
     kind = GroupKind(e.category, FLAVOR_FOR_TYPE[w2type])
-    sums: dict[str, int] = {}
-    for b, bit in zip(e.blocks, (0,) + e.framings):
-        for g, c in b.coefficients().items():
-            sums[g] = sums.get(g, 0) + (-c if bit else c)
-    p_class = BordismElement(kind, (sums.get(g, 0) for g in kind.generators))
+    sums = e._sums
+    p_class = bordism._element(kind, tuple(sums.get(g, 0) for g in kind.generators))
     return Invariants(e.category, w2type, r, p_class)
 
 
@@ -380,6 +402,10 @@ class StandardForm:
     p: int | None = None
 
     def __post_init__(self):
+        _int_field("k", self.k)
+        for name, value in (("q", self.q), ("s", self.s), ("p", self.p)):
+            if value is not None:
+                _int_field(name, value)
         if self.k < 0:
             raise InvalidExpressionError(f"k must be >= 0, got {self.k}")
         if self.category is Category.TOP:
@@ -413,8 +439,8 @@ class StandardForm:
     def invariants(self) -> Invariants:
         """The class has coordinates (p, q, s), those that are not None."""
         kind = GroupKind(self.category, FLAVOR_FOR_TYPE[self.w2type])
-        coords = (x for x in (self.p, self.q, self.s) if x is not None)
-        return Invariants(self.category, self.w2type, self.r, BordismElement(kind, coords))
+        coords = tuple(x for x in (self.p, self.q, self.s) if x is not None)
+        return Invariants(self.category, self.w2type, self.r, bordism._element(kind, coords))
 
     def text(self) -> str:
         from .parsing import render_expression

@@ -12,6 +12,11 @@ Elements are full (signed) group elements; the quotient by the orientation
 action x -> -x is applied only at comparison time, through canonicalize.
 The Z/16 coordinate of the smooth pin+ group is generator-relative
 (RP4 -> 1); no closed-form invariant for it is known.
+
+Coordinates are checked once, at the boundary: BordismElement(kind, coords)
+and parse_element reject anything but the right number of ints.  Results
+computed inside the package (add, neg, forget_smooth, and the classes that
+algebra and bundle build from ints) skip the checks and are only reduced.
 """
 
 from __future__ import annotations
@@ -157,6 +162,15 @@ class BordismElement:
         return canonicalize(self)
 
 
+def _element(kind: GroupKind, coords: tuple[int, ...]) -> BordismElement:
+    """BordismElement(kind, coords) for a tuple of ints of the right count,
+    which only reduces them: for results computed inside the package."""
+    a = object.__new__(BordismElement)
+    object.__setattr__(a, "kind", kind)
+    object.__setattr__(a, "coords", tuple(c % o for c, o in zip(coords, kind.orders)))
+    return a
+
+
 @dataclass(frozen=True)
 class CanonicalClass:
     """An element of the quotient by x -> -x, stored as its smallest lift."""
@@ -172,11 +186,11 @@ def zero(kind: GroupKind) -> BordismElement:
 def add(a: BordismElement, b: BordismElement) -> BordismElement:
     if a.kind != b.kind:
         raise KindMismatchError(f"cannot add {a.kind.name} and {b.kind.name}")
-    return BordismElement(a.kind, (x + y for x, y in zip(a.coords, b.coords)))
+    return _element(a.kind, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
 
 def neg(a: BordismElement) -> BordismElement:
-    return BordismElement(a.kind, (-x for x in a.coords))
+    return _element(a.kind, tuple(-x for x in a.coords))
 
 
 def canonicalize(a: BordismElement) -> CanonicalClass:
@@ -186,7 +200,8 @@ def canonicalize(a: BordismElement) -> CanonicalClass:
     {0..4} x {0,1} for smooth pinc, and likewise with a leading KS bit
     in the topological cases.
     """
-    return CanonicalClass(a.kind, min(a.coords, neg(a).coords))
+    minus = tuple(-x % o for x, o in zip(a.coords, a.kind.orders))
+    return CanonicalClass(a.kind, min(a.coords, minus))
 
 
 def forget_smooth(a: BordismElement) -> BordismElement:
@@ -201,7 +216,7 @@ def forget_smooth(a: BordismElement) -> BordismElement:
         raise KindMismatchError("forget_smooth needs a smooth bordism element")
     top = GroupKind(Category.TOP, a.kind.flavor)
     named = dict(zip(a.kind.generators, a.coords))
-    return BordismElement(top, (named.get(g, 0) for g in top.generators))
+    return _element(top, tuple(named.get(g, 0) for g in top.generators))
 
 
 def elements(kind: GroupKind) -> Iterator[BordismElement]:

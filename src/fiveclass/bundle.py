@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bordism
 from .algebra import (
     FLAVOR_FOR_TYPE,
     Category,
@@ -33,7 +34,7 @@ from .algebra import (
     W2Type,
     standard_form_from_invariants,
 )
-from .bordism import BordismElement, GroupKind
+from .bordism import GroupKind
 from .errors import InvalidFormError, WrongDivisibilityError, ZeroClassError
 from .forms import CohomologyClass, IntersectionForm
 
@@ -130,7 +131,7 @@ def classify(inp: BundleInput) -> Classification:
         s = (form.rank + qraw) % 2 if t is W2Type.I else None
         coords = (ks, q8) if s is None else (ks, q8, s)
     kind = GroupKind(Category.TOP, FLAVOR_FOR_TYPE[t])
-    inv = Invariants(Category.TOP, t, r, BordismElement(kind, coords))
+    inv = Invariants(Category.TOP, t, r, bordism._element(kind, coords))
     homeo = standard_form_from_invariants(inv)
     smoothable = ks == 0
     # smooth type III: class known only mod 8, so q8 and 8-q8 in Z/16 mod +-

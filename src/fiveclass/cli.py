@@ -136,7 +136,8 @@ def _cmd_classify(args) -> int:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an integer too long for int(), or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON input: {exc}") from exc
     form, ks = forms.manifold_from_json(obj)
     try:

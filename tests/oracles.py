@@ -5,19 +5,42 @@ unchanged: Lagrange diagonalization for the signature and a Gauss-Jordan
 solve for p^T Q^{-1} p.  The sympy routines are independent of both.
 sympy is a test-only dependency.  fold_p_class is the former [P] of
 algebra.invariants: one validated group element per block, negated on a
-framed join and added to a running total.
+framed join and added to a running total.  walk_invariants is the former
+algebra.invariants, which walks the blocks for each of r, the w2-type and
+[P]; term_loop_parse is the former parser, which tries the term regexes
+one after another at each token.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
 import sympy
 
 from fiveclass import algebra, bordism
+from fiveclass.algebra import (
+    FLAVOR_FOR_TYPE,
+    Block,
+    Category,
+    CP2xS1,
+    FakeRP5,
+    FakeRP5Top,
+    Invariants,
+    ManifoldExpression,
+    S2xRP3,
+    StarS2xRP3,
+    W2Type,
+)
 from fiveclass.bordism import BordismElement, GroupKind
-from fiveclass.errors import InvalidFormError
+from fiveclass.errors import (
+    ExpressionSemanticError,
+    ExpressionSyntaxError,
+    InvalidExpressionError,
+    InvalidFormError,
+)
+from fiveclass.parsing import TERMS, _shown
 
 
 def gauss_det(rows):
@@ -128,7 +151,7 @@ def _contribution(b: algebra.Block, kind: GroupKind) -> BordismElement:
 
 def fold_p_class(e: algebra.ManifoldExpression) -> BordismElement:
     """[P] of an expression, reduced after every block."""
-    w2type = algebra._w2type_of(e.blocks)
+    w2type = _w2type_of(e.blocks)
     kind = GroupKind(e.category, algebra.FLAVOR_FOR_TYPE[w2type])
     total = bordism.zero(kind)
     for i, b in enumerate(e.blocks):
@@ -137,3 +160,101 @@ def fold_p_class(e: algebra.ManifoldExpression) -> BordismElement:
             contrib = bordism.neg(contrib)
         total = bordism.add(total, contrib)
     return total
+
+
+def _w2type_of(blocks: tuple[Block, ...]) -> W2Type:
+    has_cp2 = any(isinstance(b, CP2xS1) for b in blocks)
+    has_fake = any(isinstance(b, (FakeRP5, FakeRP5Top)) for b in blocks)
+    has_s2rp3 = any(isinstance(b, (S2xRP3, StarS2xRP3)) for b in blocks)
+    if has_cp2 or (has_fake and has_s2rp3):
+        return W2Type.I
+    if has_fake:
+        return W2Type.III
+    return W2Type.II
+
+
+def walk_invariants(e: ManifoldExpression) -> Invariants:
+    """Compute (w2-type, r, [P]) for an expression.
+
+    r = sum of block ranks + (number of Z/2 blocks - 1); the w2-type is read
+    off from block presence.  [P] is the signed sum of block contributions,
+    a join's framing bit negating the right operand's term.  The blocks'
+    generator coefficients are summed as plain integers and reduced once,
+    when the element is built; reduction is a homomorphism, so this equals
+    a sum reduced after every term.  A generator the group lacks is dropped
+    (smooth fakes thus enter the topological groups with KS 0).
+    """
+    if not any(b.has_z2 for b in e.blocks):
+        raise InvalidExpressionError(
+            "expression has no Z/2 block, so its fundamental group is not Z/2"
+        )
+    z2_count = sum(1 for b in e.blocks if b.has_z2)
+    r = sum(b.rank for b in e.blocks) + z2_count - 1
+    w2type = _w2type_of(e.blocks)
+    kind = GroupKind(e.category, FLAVOR_FOR_TYPE[w2type])
+    sums: dict[str, int] = {}
+    for b, bit in zip(e.blocks, (0,) + e.framings):
+        for g, c in b.coefficients().items():
+            sums[g] = sums.get(g, 0) + (-c if bit else c)
+    p_class = BordismElement(kind, (sums.get(g, 0) for g in kind.generators))
+    return Invariants(e.category, w2type, r, p_class)
+
+
+def _pattern(pieces: tuple[str, ...]) -> re.Pattern:
+    """Regex for a run of pieces, each followed by optional whitespace."""
+    return re.compile(
+        "".join(
+            (rf"(?P<{p[1:-1]}>[+-]?[0-9]+)" if p.startswith("{") else re.escape(p))
+            + r"\s*"
+            for p in pieces
+        )
+    )
+
+
+_PATTERNS = tuple((block_type, _pattern(pieces)) for block_type, pieces in TERMS)
+_SPACE = re.compile(r"\s*")
+_JOIN = re.compile(r"(#~?)\s*")
+
+
+def _parse_term(text: str, pos: int) -> tuple[Block, int]:
+    """The first term token that matches at pos, and the offset past it."""
+    for block_type, pattern in _PATTERNS:
+        m = pattern.match(text, pos)
+        if m:
+            fields = {name: int(value) for name, value in m.groupdict().items()}
+            try:
+                return block_type(**fields), m.end()
+            except InvalidExpressionError as exc:
+                raise ExpressionSemanticError(f"{exc} at offset {pos}") from exc
+    # no token matched: report what each wanted at the furthest offset reached,
+    # the whole token if it matched nothing, else its next piece
+    wanted: dict[int, list[str]] = {}
+    for _, pieces in TERMS:
+        n = len(pieces) - 1
+        while not (m := _pattern(pieces[:n]).match(text, pos)):
+            n -= 1
+        want = _shown(pieces[n]) if n else "".join(map(_shown, pieces))
+        wanted.setdefault(m.end(), []).append(want)
+    offset = max(wanted)
+    raise ExpressionSyntaxError(offset, tuple(dict.fromkeys(wanted[offset])))
+
+
+def term_loop_parse(text: str) -> ManifoldExpression:
+    block, pos = _parse_term(text, _SPACE.match(text).end())
+    blocks = [block]
+    framings: list[int] = []
+    while pos < len(text):
+        join = _JOIN.match(text, pos)
+        if not join:
+            raise ExpressionSyntaxError(pos, ("#", "#~"))
+        framings.append(1 if join.group(1) == "#~" else 0)
+        block, pos = _parse_term(text, join.end())
+        blocks.append(block)
+    category = Category.TOP if any(b.top_only for b in blocks) else Category.SMOOTH
+    expr = ManifoldExpression(category, blocks, framings)
+    if not expr.has_z2_block():
+        raise ExpressionSemanticError(
+            "expression has no Z/2 block (no X(..) or S2xRP3 term), "
+            "so its fundamental group is Z, not Z/2"
+        )
+    return expr

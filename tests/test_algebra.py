@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _contribution, fold_p_class
+from oracles import _contribution, fold_p_class, walk_invariants
 
 from fiveclass import algebra, bordism
 from fiveclass.algebra import (
@@ -418,8 +418,8 @@ _TOP_BLOCKS = st.one_of(
 
 
 @st.composite
-def _joins(draw):
-    category = draw(st.sampled_from(Category))
+def _joins(draw, category=None):
+    category = category or draw(st.sampled_from(Category))
     vocab = _TOP_BLOCKS if category is Category.TOP else _SMOOTH_BLOCKS
     blocks = draw(
         st.lists(vocab, min_size=1, max_size=64).filter(lambda bs: any(b.has_z2 for b in bs))
@@ -433,6 +433,25 @@ def _joins(draw):
 @given(_joins())
 def test_p_class_matches_per_block_fold(e):
     assert invariants(e).p_class == fold_p_class(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_joins())
+def test_invariants_match_block_walk(e):
+    assert invariants(e) == walk_invariants(e)
+
+
+@st.composite
+def _connected_sums(draw):
+    category = draw(st.sampled_from(Category))
+    a, b = draw(_joins(category)), draw(_joins(category))
+    return connected_sum(a, b, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected_sums())
+def test_invariants_of_connected_sums_match_block_walk(e):
+    assert invariants(e) == walk_invariants(e)
 
 
 def test_block_ranks_and_fundamental_groups():
@@ -467,6 +486,21 @@ def test_standard_form_invariants_match_their_expression():
     ],
 )
 def test_non_int_block_fields_and_framings_rejected(make):
+    with pytest.raises(InvalidExpressionError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StandardForm(Category.SMOOTH, W2Type.III, 1.5, q=1),
+        lambda: StandardForm(Category.SMOOTH, W2Type.III, 1, q=True),
+        lambda: StandardForm(Category.SMOOTH, W2Type.I, 0, q=1, s=1.0),
+        lambda: StandardForm(Category.TOP, W2Type.II, 2, p=True),
+    ],
+    ids=["k", "q", "s", "p"],
+)
+def test_non_int_standard_form_fields_rejected(make):
     with pytest.raises(InvalidExpressionError):
         make()
 

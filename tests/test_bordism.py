@@ -1,6 +1,8 @@
 """Tests for the six bordism groups: table data, arithmetic, quotient."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiveclass import bordism
 from fiveclass.bordism import (
@@ -78,6 +80,23 @@ def test_wrong_coordinate_count():
 def test_non_int_coordinate_rejected(coord):
     with pytest.raises(InputError):
         BordismElement(PINP, [coord])
+
+
+@st.composite
+def _kinds_and_int_coords(draw):
+    kind = draw(st.sampled_from(ALL_KINDS))
+    n = len(kind.orders)
+    coords = draw(st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n))
+    return kind, tuple(coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kinds_and_int_coords())
+def test_unchecked_constructor_matches_checked_one(kind_coords):
+    kind, coords = kind_coords
+    fast, checked = bordism._element(kind, coords), BordismElement(kind, coords)
+    assert fast == checked
+    assert type(fast) is BordismElement and hash(fast) == hash(checked)
 
 
 def test_canonicalize_examples():

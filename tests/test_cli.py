@@ -15,8 +15,12 @@ from hypothesis import strategies as st
 
 from fiveclass.algebra import ENUMERATE_R_MAX
 from fiveclass.cli import SELFTEST_COUNT_MAX, main
+from fiveclass.forms import BLOCK_MATRICES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# int() refuses decimal strings longer than this (0: no limit)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_OVER_LONG = "1" * (_MAX_DIGITS + 1)
 
 
 def run(capsys, *argv):
@@ -111,6 +115,26 @@ def test_classify_malformed_json_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.skipif(_MAX_DIGITS == 0, reason="int() has no digit limit here")
+def test_over_long_integers_exit_two(capsys, tmp_path):
+    code, out, err = run(capsys, "invariants", f"X({_OVER_LONG})")
+    assert (code, out) == (2, "")
+    assert "q has too many digits at offset 2" in err
+    path = tmp_path / "m.json"
+    path.write_text('{"form": {"matrix": [[%s]]}, "ks": 0}' % _OVER_LONG)
+    code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
+    assert (code, out) == (2, "")
+    assert "malformed JSON" in err
+
+
+def test_classify_deeply_nested_json_exit_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
+    assert (code, out) == (2, "")
+    assert "malformed JSON" in err
 
 
 def test_classify_missing_file_exit_two(capsys, tmp_path):
@@ -339,7 +363,7 @@ _FLAGS = [
 _INTEGERS = [
     "-2", "-1", "0", "-0", "+1", "1", "2", "3", "5", "8", "9", "60", "2,0", "2,0,0",
     str(ENUMERATE_R_MAX + 1), str(SELFTEST_COUNT_MAX + 1), str(2**64), str(-(2**64)),
-]
+] + ([_OVER_LONG] if _MAX_DIGITS else [])
 _ODD_TEXT = ["", " ", "٣", "²", "１", "1_0", "1.5", "٢,٢"]
 _FRAGMENTS = [
     "X(1)", "X(3)", "X(-17)", "X(1,3)", "X(-1,-3)", "S2xRP3", "*S2xRP3", "CP2xS1",
@@ -368,7 +392,7 @@ def _slow(argv):
     """An in-range --r-max above 60 (a long listing); selftest gets its own test."""
     if argv[0] != "enumerate":
         return False
-    return any(t.isascii() and t.strip().lstrip("+-").isdigit()
+    return any(t.isascii() and t.strip().lstrip("+-").isdigit() and len(t) < 20
                and 60 < int(t) <= ENUMERATE_R_MAX for t in argv)
 
 
@@ -409,3 +433,67 @@ def test_selftest_exit_codes_under_fuzzed_argv(tokens, count):
     argv = ["selftest", *tokens, "--count", count]
     with mock.patch.object(cli, "_selftest_bordism", lambda: None):
         assert _exit_code(argv, "") in (0, 2, 3), argv
+
+
+# -- classify over random JSON documents ------------------------------------------------
+
+_HUGE = "__over_long_integer__"  # replaced by _OVER_LONG in the JSON text
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-3, 3),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from(["1", "-1", "H", "E8", "", "x", "٣", "2"]),
+    st.text("0123456789-Ex. ", max_size=4),
+    st.just(_HUGE if _MAX_DIGITS else 2**64),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["form", "matrix", "blocks", "ks", "x"]), inner,
+                        max_size=3),
+    ),
+    max_leaves=16,
+)
+_MATRICES = st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), _JSON_LEAVES), min_size=1, max_size=4),
+    min_size=1, max_size=4,
+)
+_FORM_SPECS = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries({"matrix": st.one_of(_MATRICES, _JSON_VALUES)}),
+    st.fixed_dictionaries(
+        {"blocks": st.lists(st.sampled_from(sorted(BLOCK_MATRICES)), max_size=6)}
+    ),
+    st.fixed_dictionaries({"blocks": _JSON_VALUES}),
+)
+_DOCUMENTS = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries(
+        {"form": _FORM_SPECS}, optional={"ks": st.one_of(st.integers(0, 1), _JSON_LEAVES)}
+    ),
+)
+
+
+@st.composite
+def _classify_inputs(draw):
+    """A random document and --c1, or a block form with a c1 of its rank,
+    most of which classify."""
+    if draw(st.booleans()):
+        c1 = ["2", "0,2", "2,0", "2,2", "2,0,0", "0,0,0,2", "4", "1", "0", "", "x"]
+        return draw(_DOCUMENTS), draw(st.sampled_from(c1))
+    names = draw(st.lists(st.sampled_from(sorted(BLOCK_MATRICES)), min_size=1, max_size=4))
+    rank = sum(len(BLOCK_MATRICES[n]) for n in names)
+    pairings = draw(st.lists(st.sampled_from([0, 2, -2, 6]), min_size=rank, max_size=rank))
+    doc = {"form": {"blocks": names}, "ks": draw(st.integers(0, 1))}
+    return doc, ",".join(map(str, pairings))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classify_inputs())
+def test_classify_exit_codes_under_random_json(doc_c1):
+    doc, c1 = doc_c1
+    text = json.dumps(doc).replace(f'"{_HUGE}"', _OVER_LONG)
+    assert _exit_code(["classify", "--input", "-", "--c1", c1], text) in (0, 2, 3), text

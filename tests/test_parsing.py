@@ -1,10 +1,12 @@
 """Tests for the expression grammar: examples, error offsets, round trips."""
 
+import sys
 from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import term_loop_parse
 
 from fiveclass.algebra import (
     Block,
@@ -17,7 +19,7 @@ from fiveclass.algebra import (
     S2xS2xS1,
     StarS2xRP3,
 )
-from fiveclass.errors import ExpressionSemanticError, ExpressionSyntaxError
+from fiveclass.errors import ExpressionSemanticError, ExpressionSyntaxError, InputError
 from fiveclass.parsing import TERMS, parse_expression, render_block, render_expression
 
 
@@ -88,8 +90,9 @@ def test_syntax_error_offsets():
 def test_count_must_be_positive():
     with pytest.raises(ExpressionSemanticError):
         parse_expression("X(1) # 0*(S2xS2)xS1")
-    with pytest.raises(ExpressionSemanticError):
-        parse_expression("X(1) # -2*(S2xS2)xS1")
+    with pytest.raises(ExpressionSemanticError) as exc:
+        parse_expression("X(1) #  -2*(S2xS2)xS1")
+    assert str(exc.value).endswith("at offset 8")  # the term's, not the join's
 
 
 def test_trailing_join_rejected():
@@ -125,6 +128,54 @@ def test_unclosed_fake_expects_close_or_comma():
     with pytest.raises(ExpressionSyntaxError) as exc:
         parse_expression("X(1 # S2xRP3")
     assert (exc.value.offset, exc.value.expected) == (4, (")", ","))
+
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_MAX_DIGITS == 0, reason="int() has no digit limit here")
+@pytest.mark.parametrize(
+    "template, name, sign",
+    [
+        ("X({})", "q", ""),
+        ("S2xRP3 #~ X( 1 , {})", "q", "+"),
+        ("X({}, 1)", "p", "-"),
+        ("X(1) # {}*(S2xS2)xS1", "k", ""),
+    ],
+)
+def test_over_long_integer_field_is_semantic_error(template, name, sign):
+    # one digit more than int() converts, reported at the field
+    with pytest.raises(ExpressionSemanticError) as exc:
+        parse_expression(template.format(sign + "1" * (_MAX_DIGITS + 1)))
+    offset = template.index("{}")
+    assert str(exc.value) == f"{name} has too many digits at offset {offset}"
+
+
+# -- the one-match parser against the term-by-term oracle ----------------------------
+
+_PIECES = [
+    "X", "(", ")", ",", "X(", "X(1)", "X(1,3)", "S2xRP3", "*S2xRP3", "CP2xS1",
+    "*(S2xS2)xS1", "0*(S2xS2)xS1", "#~ -1*(S2xS2)xS1", "S2x", "RP3", "*(S2", "xS1", "#",
+    "#~", "~", "# ", " ", "\t", "\n",
+    "+", "-", "0", "1", "2", "13", "-3", "+7", "\u0663", "\u00b2", "\uff11", "*", "x",
+]
+
+
+def _outcome(parse, text):
+    """The parsed expression, or the class, message, offset and expected set
+    of the error."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return (
+            type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
+        )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_parse_matches_term_loop_oracle(text):
+    assert _outcome(parse_expression, text) == _outcome(term_loop_parse, text)
 
 
 # -- the token table ------------------------------------------------------------------
