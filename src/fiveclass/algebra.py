@@ -29,7 +29,8 @@ reads r, the w2-type and [P] off these, without another walk; [P] is the
 coefficient sums reduced once by the group's orders.
 
 Block fields, framing bits and StandardForm fields must be ints (not bools,
-floats or strings); anything else raises InvalidExpressionError.
+floats or strings), and a category or w2-type must be the enum member (not
+its string); anything else raises InvalidExpressionError.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def _int_field(name: str, value) -> int:
     if type(value) is not int:
         raise InvalidExpressionError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _enum_field(name: str, value, enum: type[Enum]) -> None:
+    """Reject a value that is not a member of enum, such as its plain string."""
+    if not isinstance(value, enum):
+        raise InvalidExpressionError(f"{name} must be a {enum.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -199,6 +206,7 @@ class ManifoldExpression:
     _sums: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, category: Category, blocks: Iterable[Block], framings=None):
+        _enum_field("category", category, Category)
         blocks = tuple(blocks)
         if not blocks:
             raise InvalidExpressionError("expression needs at least one block")
@@ -402,6 +410,8 @@ class StandardForm:
     p: int | None = None
 
     def __post_init__(self):
+        _enum_field("category", self.category, Category)
+        _enum_field("w2type", self.w2type, W2Type)
         _int_field("k", self.k)
         for name, value in (("q", self.q), ("s", self.s), ("p", self.p)):
             if value is not None:
@@ -423,7 +433,8 @@ class StandardForm:
     def r(self) -> int:
         return 2 * self.k + family_base(self.w2type, self.q, self.s)
 
-    def expression(self) -> ManifoldExpression:
+    def _blocks(self) -> list[Block]:
+        """The family's blocks, in the order the form lists them."""
         blocks: list[Block] = []
         top = self.category is Category.TOP
         if self.w2type is W2Type.II:
@@ -434,7 +445,10 @@ class StandardForm:
                 blocks.append(CP2xS1() if self.s == 1 else S2xRP3())
         if self.k > 0:
             blocks.append(S2xS2xS1(self.k))
-        return ManifoldExpression(self.category, blocks)
+        return blocks
+
+    def expression(self) -> ManifoldExpression:
+        return ManifoldExpression(self.category, self._blocks())
 
     def invariants(self) -> Invariants:
         """The class has coordinates (p, q, s), those that are not None."""
@@ -443,9 +457,10 @@ class StandardForm:
         return Invariants(self.category, self.w2type, self.r, bordism._element(kind, coords))
 
     def text(self) -> str:
-        from .parsing import render_expression
+        """render_expression(self.expression()), without building the expression."""
+        from .parsing import render_block
 
-        return render_expression(self.expression())
+        return " # ".join(map(render_block, self._blocks()))
 
 
 def standard_form_from_invariants(inv: Invariants) -> StandardForm:

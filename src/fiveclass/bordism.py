@@ -78,6 +78,11 @@ class GroupKind:
     category: Category
     flavor: Flavor
 
+    def __post_init__(self):
+        for value, enum in ((self.category, Category), (self.flavor, Flavor)):
+            if not isinstance(value, enum):
+                raise InputError(f"expected a {enum.__name__}, got {value!r}")
+
     @property
     def name(self) -> str:
         prefix = "top-" if self.category is Category.TOP else ""

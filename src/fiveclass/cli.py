@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Sequence
 
-from . import ahss, algebra, bordism, bundle, forms
+from . import algebra, bordism, bundle, forms
 from .algebra import Category, Invariants, Level, StandardForm, W2Type
 from .bordism import ascii_int
 from .errors import ConsistencyError, FiveclassError, InputError, RangeExceededError
@@ -242,21 +241,14 @@ def _cmd_bordism(args) -> int:
     return 0
 
 
-def _twist_from_name(name: str) -> ahss.Twist:
-    aliases = {
-        "none": ahss.Twist.NONE,
-        "2eta": ahss.Twist.TWO_ETA,
-        "two-eta": ahss.Twist.TWO_ETA,
-        "gamma": ahss.Twist.GAMMA,
-    }
-    tw = aliases.get(name.strip().lower())
-    if tw is None:
-        raise InputError(f"unknown twist {name!r}; expected none, 2eta or gamma")
-    return tw
-
-
 def _cmd_ahss(args) -> int:
-    twist = _twist_from_name(args.twist)
+    from . import ahss
+
+    name = args.twist.strip().lower()
+    try:
+        twist = ahss.Twist("2eta" if name == "two-eta" else name)
+    except ValueError as exc:
+        raise InputError(f"unknown twist {args.twist!r}; expected none, 2eta or gamma") from exc
     if args.dump_pages:
         print(ahss.format_page(ahss.page(args.r, twist)))
         print()
@@ -290,96 +282,15 @@ def _cmd_ahss(args) -> int:
 
 # -- selftest -------------------------------------------------------------------
 
-def _selftest_forms(rng: random.Random, count: int) -> None:
-    from .selfcheck import random_characteristic, random_form
-
-    for _ in range(count):
-        q = random_form(rng)
-        n = q.rank
-        c = random_characteristic(rng, q)
-        if not q.is_characteristic(c):
-            raise ConsistencyError("random characteristic vector is not characteristic")
-        sq = q.square(c)
-        if (sq - q.signature()) % 8 != 0:
-            raise ConsistencyError("van der Blij congruence failed")
-        if (sq - n) % 2 != 0:
-            raise ConsistencyError("characteristic square / rank parity failed")
-    print(f"ok: van der Blij congruence on {count} random block forms")
-
-
-def _selftest_bordism() -> None:
-    for kind in bordism.ALL_KINDS:
-        elems = list(bordism.elements(kind))
-        zero = bordism.zero(kind)
-        for a in elems:
-            if bordism.add(a, bordism.neg(a)) != zero:
-                raise ConsistencyError(f"inverse axiom fails in {kind.name}")
-            if bordism.canonicalize(a) != bordism.canonicalize(bordism.neg(a)):
-                raise ConsistencyError(f"canonicalize not +-invariant in {kind.name}")
-            for b in elems:
-                if bordism.add(a, b) != bordism.add(b, a):
-                    raise ConsistencyError(f"commutativity fails in {kind.name}")
-                for c in elems:
-                    lhs = bordism.add(bordism.add(a, b), c)
-                    if lhs != bordism.add(a, bordism.add(b, c)):
-                        raise ConsistencyError(f"associativity fails in {kind.name}")
-    print("ok: group axioms, all six bordism groups, exhaustively")
-
-
-def _selftest_algebra() -> None:
-    x1 = parse_expression("X(1)")
-    for framing, want_q in ((0, 2), (1, 0)):
-        form = algebra.normalize(algebra.connected_sum(x1, x1, framing))
-        if form.q != want_q:
-            raise ConsistencyError("framing calibration failed")
-    for category in (Category.SMOOTH, Category.TOP):
-        for f in algebra.enumerate_forms(12, category):
-            if not algebra.check_relations(f.invariants()):
-                raise ConsistencyError(f"parity relation fails for {f.text()}")
-    print("ok: framing calibration and parity relations up to r=12")
-
-
-def _selftest_ahss() -> None:
-    for twist in ahss.Twist:
-        for r in range(0 if twist is not ahss.Twist.GAMMA else 1, 5):
-            ahss.omega5_order(r, twist)
-    print("ok: spectral-sequence orders match closed forms for r <= 4")
-
-
-def _selftest_bundle(rng: random.Random, count: int) -> None:
-    from .selfcheck import random_bundle_input
-
-    for _ in range(count):
-        inp = random_bundle_input(rng)
-        res = bundle.classify(inp)
-        if not algebra.check_relations(res.invariants):
-            raise ConsistencyError("classification violates the parity relations")
-        grown = bundle.BundleInput(
-            inp.form.direct_sum(forms.hyperbolic()),
-            inp.ks,
-            forms.CohomologyClass(tuple(inp.c1.pairings) + (0, 0)),
-        )
-        res2 = bundle.classify(grown)
-        if (res2.r, res2.k) != (res.r + 2, res.k + 1) or (
-            res2.w2type,
-            res2.q,
-            res2.s,
-        ) != (res.w2type, res.q, res.s):
-            raise ConsistencyError("stabilization consistency failed")
-    print(f"ok: classification stabilization on {count} random bundle inputs")
-
-
 def _cmd_selftest(args) -> int:
+    from . import selfcheck
+
     if not 1 <= args.count <= SELFTEST_COUNT_MAX:
         raise RangeExceededError(
             f"--count is {args.count}; it must be between 1 and {SELFTEST_COUNT_MAX}"
         )
-    rng = random.Random(args.seed)
-    _selftest_bordism()
-    _selftest_algebra()
-    _selftest_ahss()
-    _selftest_forms(rng, args.count)
-    _selftest_bundle(rng, max(10, args.count // 4))
+    for check in selfcheck.CHECKS:
+        print(check(args.seed, args.count))
     print("selftest: all checks passed")
     return 0
 

@@ -134,12 +134,16 @@ def _restrict(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> list[list[in
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """An integral 2-dimensional cohomology class as a pairing vector."""
+    """An integral 2-dimensional cohomology class as a pairing vector of ints."""
 
     pairings: tuple[int, ...]
 
     def __init__(self, pairings: Iterable[int]):
-        object.__setattr__(self, "pairings", tuple(int(x) for x in pairings))
+        pairings = tuple(pairings)
+        for x in pairings:
+            if type(x) is not int:
+                raise InvalidFormError(f"pairings must be integers, got {x!r}")
+        object.__setattr__(self, "pairings", pairings)
 
     def __len__(self) -> int:
         return len(self.pairings)

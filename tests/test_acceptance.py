@@ -5,25 +5,11 @@ pytest -v -s tests/test_acceptance.py to see them.
 
 import random
 
-from fiveclass import ahss, bordism, forms
-from fiveclass.algebra import (
-    Category,
-    Level,
-    W2Type,
-    check_relations,
-    connected_sum,
-    enumerate_forms,
-    equivalent,
-    normalize,
-)
+from fiveclass import ahss, bordism, selfcheck
+from fiveclass.algebra import Category, Level, W2Type, enumerate_forms, equivalent, normalize
 from fiveclass.bundle import BundleInput, classify
 from fiveclass.forms import CohomologyClass, IntersectionForm, from_blocks
 from fiveclass.parsing import parse_expression
-from fiveclass.selfcheck import (
-    random_bundle_input,
-    random_characteristic,
-    random_form,
-)
 
 SEED = 1729
 
@@ -51,15 +37,10 @@ def test_criterion_2_k3_bundle():
 
 
 def test_criterion_3_parity_relations_across_enumeration():
-    total = 0
-    violations = 0
-    for category in (Category.SMOOTH, Category.TOP):
-        for form in enumerate_forms(12, category):
-            total += 1
-            if not check_relations(form.invariants()):
-                violations += 1
+    # check_algebra raises at the first form with r <= 12 whose parity relation fails
+    selfcheck.check_algebra(SEED, 0)
+    total = sum(len(enumerate_forms(12, c)) for c in (Category.SMOOTH, Category.TOP))
     assert total > 200  # hundreds of forms
-    assert violations == 0
     _report(3, f"parity relations hold for all {total} standard forms with r <= 12")
 
 
@@ -75,24 +56,13 @@ def test_criterion_4_bordism_table_and_axioms():
     for kind in bordism.ALL_KINDS:
         info = bordism.group_info(kind)
         assert (info.orders, info.generators) == expected[kind.name]
-        elems = list(bordism.elements(kind))
-        zero = bordism.zero(kind)
-        for a in elems:
-            assert bordism.add(a, zero) == a
-            assert bordism.add(a, bordism.neg(a)) == zero
-            for b in elems:
-                assert bordism.add(a, b) == bordism.add(b, a)
-                for c in elems:
-                    assert bordism.add(bordism.add(a, b), c) == bordism.add(
-                        a, bordism.add(b, c)
-                    )
+    selfcheck.check_bordism(SEED, 0)
     _report(4, "all six bordism groups match the table; axioms verified exhaustively")
 
 
 def test_criterion_5_framing_calibration():
-    x1 = parse_expression("X(1)")
-    assert normalize(connected_sum(x1, x1, 0)).text() == "X(2)"
-    assert normalize(connected_sum(x1, x1, 1)).text() == "X(0)"
+    # check_algebra's case 0: X(1) joined to itself with framing 0 / 1
+    selfcheck.check_algebra(SEED, 0)
     _report(5, "X(1) join X(1) normalizes to X(2) / X(0) for framings 0 / 1")
 
 
@@ -100,33 +70,14 @@ def test_criterion_6_ahss_orders():
     assert ahss.omega5_order(1, ahss.Twist.NONE) == 4
     assert ahss.omega5_order(0, ahss.Twist.TWO_ETA) == 16
     assert ahss.omega5_order(0, ahss.Twist.NONE) == 1
-    for twist in ahss.Twist:
-        start = 1 if twist is ahss.Twist.GAMMA else 0
-        for r in range(start, 5):
-            # omega5_order raises AhssOrderError on any mismatch
-            assert ahss.omega5_order(r, twist) == ahss.expected_order(r, twist)
+    selfcheck.check_ahss(SEED, 0)
     _report(6, "spectral-sequence orders match the closed forms for r <= 4, all twists")
 
 
 def test_criterion_7_van_der_blij():
-    rng = random.Random(SEED)
-    forms_checked = 0
-    classes_checked = 0
-    while forms_checked < 200:
-        q = random_form(rng, max_rank=24)
-        forms_checked += 1
-        for _ in range(3):
-            c = random_characteristic(rng, q)
-            assert q.is_characteristic(c)
-            sq = q.square(c)
-            assert (sq - q.signature()) % 8 == 0
-            assert (sq - q.rank) % 2 == 0
-            classes_checked += 1
-    _report(
-        7,
-        f"square = signature mod 8 and = rank mod 2 on {forms_checked} forms, "
-        f"{classes_checked} characteristic classes",
-    )
+    # one characteristic class on each of 600 random forms
+    assert selfcheck.check_forms(SEED, 600).endswith(" on 600 random block forms")
+    _report(7, "square = signature mod 8 and = rank mod 2 on 600 forms, 600 classes")
 
 
 def test_criterion_8_equivalence_hierarchy():
@@ -163,19 +114,8 @@ def test_criterion_8_equivalence_hierarchy():
 
 
 def test_criterion_9_stabilization():
-    rng = random.Random(SEED)
-    for _ in range(50):
-        inp = random_bundle_input(rng)
-        res = classify(inp)
-        grown = BundleInput(
-            inp.form.direct_sum(forms.hyperbolic()),
-            inp.ks,
-            CohomologyClass(tuple(inp.c1.pairings) + (0, 0)),
-        )
-        res2 = classify(grown)
-        assert res2.r == res.r + 2
-        assert res2.k == res.k + 1
-        assert (res2.w2type, res2.q, res2.s) == (res.w2type, res.q, res.s)
+    # check_bundle takes a quarter of its count as bundle inputs
+    assert selfcheck.check_bundle(SEED, 200).endswith(" on 50 random bundle inputs")
     _report(9, "adding a hyperbolic summand shifts (r, k) by (2, 1), keeps (type, q, s)")
 
 
@@ -185,7 +125,7 @@ def test_criterion_10_integrality_of_k():
     for _ in range(60):
         # classify raises NonIntegralKError if any k formula failed; the
         # suite asserts that never fires on valid divisibility-2 input
-        res = classify(random_bundle_input(rng))
+        res = classify(selfcheck.random_bundle_input(rng))
         assert isinstance(res.k, int) and res.k >= 0
         assert res.homeo_form.r == res.r
         for f in res.smooth_forms:

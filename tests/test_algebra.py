@@ -104,14 +104,6 @@ def test_top_invariants_carry_ks():
 
 # -- connected sums and framings --------------------------------------------------
 
-def test_connected_sum_framing_calibration():
-    x1 = smooth(FakeRP5(1))
-    plain = normalize(connected_sum(x1, x1, 0))
-    twisted = normalize(connected_sum(x1, x1, 1))
-    assert (plain.q, plain.k, plain.r) == (2, 0, 1)
-    assert (twisted.q, twisted.k, twisted.r) == (0, 0, 1)
-
-
 def test_connected_sum_category_mismatch():
     with pytest.raises(CategoryMismatchError):
         connected_sum(smooth(FakeRP5(1)), top(FakeRP5Top(0, 1)))
@@ -497,12 +489,21 @@ def test_non_int_block_fields_and_framings_rejected(make):
         lambda: StandardForm(Category.SMOOTH, W2Type.III, 1, q=True),
         lambda: StandardForm(Category.SMOOTH, W2Type.I, 0, q=1, s=1.0),
         lambda: StandardForm(Category.TOP, W2Type.II, 2, p=True),
+        lambda: StandardForm("smooth", W2Type.III, 1, q=1),
+        lambda: StandardForm(Category.SMOOTH, "III", 1, q=1),
     ],
-    ids=["k", "q", "s", "p"],
+    ids=["k", "q", "s", "p", "category", "w2type"],
 )
 def test_non_int_standard_form_fields_rejected(make):
     with pytest.raises(InvalidExpressionError):
         make()
+
+
+@pytest.mark.parametrize("category", ["smooth", "top", None])
+def test_expression_category_must_be_the_enum(category):
+    # a plain "smooth" skipped the smooth-only check and dropped the KS bit
+    with pytest.raises(InvalidExpressionError):
+        ManifoldExpression(category, [StarS2xRP3(), FakeRP5Top(1, 3)])
 
 
 def test_standard_form_from_inconsistent_invariants_is_consistency_error():

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fiveclass import ahss, algebra, bordism, forms, selfcheck
 from fiveclass.algebra import ENUMERATE_R_MAX
 from fiveclass.cli import SELFTEST_COUNT_MAX, main
-from fiveclass.forms import BLOCK_MATRICES
+from fiveclass.errors import ConsistencyError
+from fiveclass.forms import BLOCK_MATRICES, IntersectionForm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # int() refuses decimal strings longer than this (0: no limit)
@@ -238,8 +240,6 @@ def test_ahss_out_of_range_exit_two(capsys):
 
 def test_ahss_order_mismatch_exit_three(capsys, monkeypatch):
     # force a disagreement with the closed form: the checker must exit 3
-    from fiveclass import ahss
-
     monkeypatch.setattr(ahss, "expected_order", lambda r, twist: 7)
     code, _, err = run(capsys, "ahss", "--r", "1", "--twist", "none")
     assert code == 3
@@ -250,7 +250,47 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--count", "40")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("ok:") == 5
+    assert out.count("ok:") == len(selfcheck.CHECKS)
+
+
+def _shifted_square(self, c, square=IntersectionForm.square):
+    return square(self, c) + 2
+
+
+# a planted fault per check, and the case it first fails at with seed 5: algebra's
+# case 0 is the framing calibration, before the parity relations
+_FAULTS = [
+    ("bordism", bordism, "add", lambda a, b: a, 0),
+    ("algebra", algebra, "connected_sum", lambda a, b, bit, join=algebra.connected_sum:
+        join(a, b, 0), 0),
+    ("algebra", algebra, "check_relations", lambda inv: False, 1),
+    ("ahss", ahss, "expected_order", lambda r, twist: 7, 0),
+    ("forms", IntersectionForm, "is_characteristic", lambda q, c: False, 0),
+    ("forms", IntersectionForm, "square", _shifted_square, 0),
+    ("bundle", algebra, "check_relations", lambda inv: False, 0),
+    ("bundle", forms, "hyperbolic", lambda: forms.from_blocks(["1", "-1"]), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "check, target, name, fault, case", _FAULTS, ids=[f"{f[0]}-{f[2]}" for f in _FAULTS]
+)
+def test_check_failure_names_its_case(capsys, monkeypatch, check, target, name, fault, case):
+    monkeypatch.setattr(target, name, fault)
+    message = f"{check} check, seed 5, case {case}:"
+    with pytest.raises(ConsistencyError, match="^" + message):
+        getattr(selfcheck, f"check_{check}")(5, 3)
+    monkeypatch.setattr(selfcheck, "CHECKS", (getattr(selfcheck, f"check_{check}"),))
+    code, out, err = run(capsys, "selftest", "--seed", "5", "--count", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("consistency error: " + message)
+
+
+def test_import_leaves_ahss_unloaded():
+    # only the ahss and selftest subcommands need the spectral sequence
+    code = "import sys, fiveclass.cli; sys.exit('fiveclass.ahss' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- ASCII-only integers ----------------------------------------------------------
@@ -340,11 +380,13 @@ def test_selftest_count_out_of_range_exit_two(capsys, count):
     assert str(SELFTEST_COUNT_MAX) in err
 
 
-def test_selftest_count_of_one_runs(capsys, monkeypatch):
-    from fiveclass import cli
+def _without_bordism_check():
+    # the exhaustive group-axiom check does not depend on argv; test_selftest runs it
+    return tuple(c for c in selfcheck.CHECKS if c is not selfcheck.check_bordism)
 
-    # the exhaustive group-axiom check does not depend on --count
-    monkeypatch.setattr(cli, "_selftest_bordism", lambda: None)
+
+def test_selftest_count_of_one_runs(capsys, monkeypatch):
+    monkeypatch.setattr(selfcheck, "CHECKS", _without_bordism_check())
     code, out, _ = run(capsys, "selftest", "--count", "1")
     assert code == 0
     assert "on 1 random block forms" in out
@@ -426,12 +468,9 @@ def test_exit_codes_under_fuzzed_argv(command, tokens, stdin_text):
     st.sampled_from(["-1", "0", "1", "5", "٣", ""]),
 )
 def test_selftest_exit_codes_under_fuzzed_argv(tokens, count):
-    # the last --count wins, and it is at most 5; the exhaustive group-axiom
-    # check (~1 s, the same for every argv) is left to test_selftest
-    from fiveclass import cli
-
+    # the last --count wins, and it is at most 5
     argv = ["selftest", *tokens, "--count", count]
-    with mock.patch.object(cli, "_selftest_bordism", lambda: None):
+    with mock.patch.object(selfcheck, "CHECKS", _without_bordism_check()):
         assert _exit_code(argv, "") in (0, 2, 3), argv
 
 

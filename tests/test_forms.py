@@ -28,6 +28,7 @@ from fiveclass.forms import (
     bareiss_determinant,
     from_blocks,
 )
+from fiveclass.selfcheck import check_forms
 
 E8 = from_blocks(["E8"])
 H = from_blocks(["H"])
@@ -189,16 +190,7 @@ def test_square_and_divisibility_invariant_under_basis_change(seed, names):
 
 def test_van_der_blij_seeded():
     """square(Q, c) = signature(Q) mod 8 and = rank(Q) mod 2 for char c."""
-    from fiveclass.selfcheck import random_characteristic, random_form
-
-    rng = random.Random(97)
-    for _ in range(80):
-        q = random_form(rng, max_rank=16)
-        c = random_characteristic(rng, q)
-        assert q.is_characteristic(c)
-        sq = q.square(c)
-        assert (sq - q.signature()) % 8 == 0
-        assert (sq - q.rank) % 2 == 0
+    check_forms(97, 80)
 
 
 # -- JSON schema ------------------------------------------------------------------
@@ -239,6 +231,13 @@ def test_manifold_from_json_rejects_non_integers():
             forms.manifold_from_json({"form": {"blocks": ["1"]}, "ks": ks})
     with pytest.raises(InvalidFormError):
         IntersectionForm([[1.7]])
+
+
+@pytest.mark.parametrize("pairing", [2.9, True, "3"])
+def test_cohomology_class_rejects_non_int_pairings(pairing):
+    # no coercion: a float c1 was classified as its int() before
+    with pytest.raises(InvalidFormError):
+        CohomologyClass([2, pairing])
 
 
 # -- the integer kernel against the oracles ----------------------------------------
