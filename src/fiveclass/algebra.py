@@ -10,6 +10,10 @@ with the top- groups, whose leading coordinate is the Kirby-Siebenmann bit.
 Relations among the invariants (all mod 2):
     type I:   q + s + r = 1      type II:  r = 1      type III:  q + r = 1
 
+[P] is read and built by generator name (E8 is the KS bit p, RP4 is q,
+CP2 is s), never by position: bordism.GROUP_TABLE alone holds the order of
+a group's coordinates.
+
 Each building block is one class below.  It states its rank, whether its
 fundamental group is Z/2 (else Z), whether it exists only topologically,
 and its bordism contribution as coefficients of the generators E8, RP4 and
@@ -28,9 +32,10 @@ the framing-signed sums of the blocks' generator coefficients.  invariants
 reads r, the w2-type and [P] off these, without another walk; [P] is the
 coefficient sums reduced once by the group's orders.
 
-Block fields, framing bits and StandardForm fields must be ints (not bools,
-floats or strings), and a category or w2-type must be the enum member (not
-its string); anything else raises InvalidExpressionError.
+Block fields, framing bits, StandardForm fields and Invariants.r must be
+ints (not bools, floats or strings), and a category or w2-type must be the
+enum member (not its string); an Invariants' [P] must lie in the group of
+its category and w2-type.  Anything else raises InvalidExpressionError.
 """
 
 from __future__ import annotations
@@ -271,36 +276,50 @@ def connected_sum(
 
 @dataclass(frozen=True)
 class Invariants:
-    """Complete invariant tuple (category, w2-type, r, [P])."""
+    """Complete invariant tuple (category, w2-type, r, [P]); r >= 0."""
 
     category: Category
     w2type: W2Type
     r: int
     p_class: BordismElement
 
+    def __post_init__(self):
+        _enum_field("category", self.category, Category)
+        _enum_field("w2type", self.w2type, W2Type)
+        if _int_field("r", self.r) < 0:
+            raise InvalidExpressionError(f"r must be >= 0, got {self.r}")
+        kind = GroupKind(self.category, FLAVOR_FOR_TYPE[self.w2type])
+        if not isinstance(self.p_class, BordismElement) or self.p_class.kind != kind:
+            raise InvalidExpressionError(
+                f"[P] must be an element of {kind.name}, got {self.p_class!r}"
+            )
+
     @property
     def ks(self) -> int | None:
-        """Kirby-Siebenmann bit; None in the smooth category."""
-        if self.category is Category.TOP:
-            return self.p_class.coords[0]
-        return None
+        """Kirby-Siebenmann bit, the E8 coordinate; None in the smooth category."""
+        return self.p_class.coord("E8")
 
     @property
     def q(self) -> int | None:
-        """The arf-style coordinate, where the group has one."""
-        if self.w2type is W2Type.II:
-            return None
-        return self.p_class.coords[-1 if self.w2type is W2Type.III else -2]
+        """The arf-style RP4 coordinate; None in type II."""
+        return self.p_class.coord("RP4")
 
     @property
     def s(self) -> int | None:
-        """The w2^2 coordinate (type I only)."""
-        if self.w2type is not W2Type.I:
-            return None
-        return self.p_class.coords[-1]
+        """The w2^2 CP2 coordinate; None outside type I."""
+        return self.p_class.coord("CP2")
 
     def canonical(self) -> CanonicalClass:
         return bordism.canonicalize(self.p_class)
+
+
+def _invariants(category: Category, w2type: W2Type, r: int, named: dict) -> Invariants:
+    """Invariants with [P] = bordism._named(group, named), unchecked like
+    bordism._element: for results computed inside the package."""
+    p_class = bordism._named(GroupKind(category, FLAVOR_FOR_TYPE[w2type]), named)
+    inv = object.__new__(Invariants)
+    inv.__dict__.update(category=category, w2type=w2type, r=r, p_class=p_class)
+    return inv
 
 
 def _w2type_of(types: frozenset) -> W2Type:
@@ -333,29 +352,21 @@ def invariants(e: ManifoldExpression) -> Invariants:
             "expression has no Z/2 block, so its fundamental group is not Z/2"
         )
     r = e._rank_sum + e._z2_count - 1
-    w2type = _w2type_of(e._types)
-    kind = GroupKind(e.category, FLAVOR_FOR_TYPE[w2type])
-    sums = e._sums
-    p_class = bordism._element(kind, tuple(sums.get(g, 0) for g in kind.generators))
-    return Invariants(e.category, w2type, r, p_class)
+    return _invariants(e.category, _w2type_of(e._types), r, e._sums)
 
 
 def check_relations(inv: Invariants) -> bool:
-    """Parity relations among (type, q, s, r); parities are +/- invariant."""
-    if inv.w2type is W2Type.II:
-        return inv.r % 2 == 1
-    if inv.w2type is W2Type.III:
-        return (inv.q + inv.r) % 2 == 1
-    return (inv.q + inv.s + inv.r) % 2 == 1
+    """q + s + r odd, a coordinate the group lacks counting 0 (so r odd in
+    type II, q + r odd in type III); parities are +/- invariant."""
+    return (inv.r + (inv.q or 0) + (inv.s or 0)) % 2 == 1
 
 
 def forget_invariants(inv: Invariants) -> Invariants:
     """Topological invariants underlying smooth ones (KS = 0)."""
     if inv.category is Category.TOP:
         return inv
-    return Invariants(
-        Category.TOP, inv.w2type, inv.r, bordism.forget_smooth(inv.p_class)
-    )
+    named = dict(zip(inv.p_class.kind.generators, inv.p_class.coords))
+    return _invariants(Category.TOP, inv.w2type, inv.r, named)
 
 
 # -- standard forms -----------------------------------------------------------
@@ -451,10 +462,9 @@ class StandardForm:
         return ManifoldExpression(self.category, self._blocks())
 
     def invariants(self) -> Invariants:
-        """The class has coordinates (p, q, s), those that are not None."""
-        kind = GroupKind(self.category, FLAVOR_FOR_TYPE[self.w2type])
-        coords = tuple(x for x in (self.p, self.q, self.s) if x is not None)
-        return Invariants(self.category, self.w2type, self.r, bordism._element(kind, coords))
+        """The class p*E8 + q*RP4 + s*CP2; None where the group lacks one."""
+        named = {"E8": self.p, "RP4": self.q, "CP2": self.s}
+        return _invariants(self.category, self.w2type, self.r, named)
 
     def text(self) -> str:
         """render_expression(self.expression()), without building the expression."""
@@ -470,20 +480,13 @@ def standard_form_from_invariants(inv: Invariants) -> StandardForm:
     a non-integral or negative k cannot arise from a block expression and is
     reported as an internal inconsistency.
     """
-    rep = inv.canonical().rep
-    top = inv.category is Category.TOP
-    p = rep[0] if top else None
-    if inv.w2type is W2Type.II:
-        q = s = None
-    elif inv.w2type is W2Type.III:
-        q, s = rep[-1], None
-    else:
-        q, s = rep[-2], rep[-1]
+    can = inv.canonical()
+    p, q, s = can.coord("E8"), can.coord("RP4"), can.coord("CP2")
     k2 = inv.r - family_base(inv.w2type, q, s)
     if k2 < 0 or k2 % 2:
         raise NonIntegralKError(
             f"no standard family matches invariants "
-            f"(type {inv.w2type.value}, r={inv.r}, class {rep})"
+            f"(type {inv.w2type.value}, r={inv.r}, class {can.rep})"
         )
     return StandardForm(inv.category, inv.w2type, k2 // 2, q=q, s=s, p=p)
 

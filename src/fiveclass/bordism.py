@@ -13,10 +13,14 @@ action x -> -x is applied only at comparison time, through canonicalize.
 The Z/16 coordinate of the smooth pin+ group is generator-relative
 (RP4 -> 1); no closed-form invariant for it is known.
 
+GROUP_TABLE alone holds the coordinate order.  Elsewhere a coordinate is
+read by generator name (E8 is the KS bit p, RP4 is q, CP2 is s) with
+coord(), and a class is built from {generator: coefficient} with _named.
+
 Coordinates are checked once, at the boundary: BordismElement(kind, coords)
 and parse_element reject anything but the right number of ints.  Results
 computed inside the package (add, neg, forget_smooth, and the classes that
-algebra and bundle build from ints) skip the checks and are only reduced.
+algebra builds from coefficients) skip the checks and are only reduced.
 """
 
 from __future__ import annotations
@@ -52,24 +56,15 @@ class Flavor(str, Enum):
     PIN_MINUS = "pin-"
 
 
-# (orders of the cyclic factors, generator names), per (category, flavor)
-GROUP_TABLE: dict[tuple[Category, Flavor], tuple[tuple[int, ...], tuple[str, ...]]] = {
-    (Category.SMOOTH, Flavor.PINC): ((8, 2), ("RP4", "CP2")),
-    (Category.SMOOTH, Flavor.PIN_PLUS): ((16,), ("RP4",)),
-    (Category.SMOOTH, Flavor.PIN_MINUS): ((), ()),
-    (Category.TOP, Flavor.PINC): ((2, 8, 2), ("E8", "RP4", "CP2")),
-    (Category.TOP, Flavor.PIN_PLUS): ((2, 8), ("E8", "RP4")),
-    (Category.TOP, Flavor.PIN_MINUS): ((2,), ("E8",)),
-}
-
-# names the invariants of each coordinate, where the group has one
-INVARIANT_NAMES: dict[tuple[Category, Flavor], tuple[str, ...]] = {
-    (Category.SMOOTH, Flavor.PINC): ("arf", "w2^2"),
-    (Category.SMOOTH, Flavor.PIN_PLUS): ("?",),
-    (Category.SMOOTH, Flavor.PIN_MINUS): (),
-    (Category.TOP, Flavor.PINC): ("KS", "arf", "w2^2"),
-    (Category.TOP, Flavor.PIN_PLUS): ("KS", "arf"),
-    (Category.TOP, Flavor.PIN_MINUS): ("KS",),
+# (orders of the cyclic factors, generator names, invariant names), per
+# (category, flavor), in coordinate order; "?": no known closed form
+GROUP_TABLE: dict[tuple[Category, Flavor], tuple[tuple, tuple, tuple]] = {
+    (Category.SMOOTH, Flavor.PINC): ((8, 2), ("RP4", "CP2"), ("arf", "w2^2")),
+    (Category.SMOOTH, Flavor.PIN_PLUS): ((16,), ("RP4",), ("?",)),
+    (Category.SMOOTH, Flavor.PIN_MINUS): ((), (), ()),
+    (Category.TOP, Flavor.PINC): ((2, 8, 2), ("E8", "RP4", "CP2"), ("KS", "arf", "w2^2")),
+    (Category.TOP, Flavor.PIN_PLUS): ((2, 8), ("E8", "RP4"), ("KS", "arf")),
+    (Category.TOP, Flavor.PIN_MINUS): ((2,), ("E8",), ("KS",)),
 }
 
 
@@ -128,8 +123,7 @@ class GroupInfo:
 
 
 def group_info(kind: GroupKind) -> GroupInfo:
-    orders, gens = GROUP_TABLE[(kind.category, kind.flavor)]
-    return GroupInfo(kind, orders, gens, INVARIANT_NAMES[(kind.category, kind.flavor)])
+    return GroupInfo(kind, *GROUP_TABLE[(kind.category, kind.flavor)])
 
 
 @dataclass(frozen=True)
@@ -157,14 +151,14 @@ class BordismElement:
             self, "coords", tuple(c % o for c, o in zip(coords, orders))
         )
 
-    def __add__(self, other: "BordismElement") -> "BordismElement":
-        return add(self, other)
+    def coord(self, generator: str) -> int | None:
+        """The coordinate of the named generator; None if the group lacks it."""
+        return _coord(self.kind, self.coords, generator)
 
-    def __neg__(self) -> "BordismElement":
-        return neg(self)
 
-    def canonical(self) -> "CanonicalClass":
-        return canonicalize(self)
+def _coord(kind: GroupKind, coords: tuple[int, ...], generator: str) -> int | None:
+    gens = kind.generators
+    return coords[gens.index(generator)] if generator in gens else None
 
 
 def _element(kind: GroupKind, coords: tuple[int, ...]) -> BordismElement:
@@ -176,12 +170,22 @@ def _element(kind: GroupKind, coords: tuple[int, ...]) -> BordismElement:
     return a
 
 
+def _named(kind: GroupKind, named: dict[str, int]) -> BordismElement:
+    """_element of the coefficients named[g] of kind's generators g (0 if
+    missing); names the group lacks are dropped."""
+    return _element(kind, tuple(named.get(g, 0) for g in kind.generators))
+
+
 @dataclass(frozen=True)
 class CanonicalClass:
     """An element of the quotient by x -> -x, stored as its smallest lift."""
 
     kind: GroupKind
     rep: tuple[int, ...]
+
+    def coord(self, generator: str) -> int | None:
+        """The named generator's coordinate; None if the group lacks it."""
+        return _coord(self.kind, self.rep, generator)
 
 
 def zero(kind: GroupKind) -> BordismElement:
@@ -220,8 +224,7 @@ def forget_smooth(a: BordismElement) -> BordismElement:
     if a.kind.category is not Category.SMOOTH:
         raise KindMismatchError("forget_smooth needs a smooth bordism element")
     top = GroupKind(Category.TOP, a.kind.flavor)
-    named = dict(zip(a.kind.generators, a.coords))
-    return _element(top, tuple(named.get(g, 0) for g in top.generators))
+    return _named(top, dict(zip(a.kind.generators, a.coords)))
 
 
 def elements(kind: GroupKind) -> Iterator[BordismElement]:

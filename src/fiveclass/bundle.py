@@ -25,16 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bordism
 from .algebra import (
-    FLAVOR_FOR_TYPE,
     Category,
     Invariants,
     StandardForm,
     W2Type,
+    _invariants,
     standard_form_from_invariants,
 )
-from .bordism import GroupKind
 from .errors import InvalidFormError, WrongDivisibilityError, ZeroClassError
 from .forms import CohomologyClass, IntersectionForm
 
@@ -124,14 +122,11 @@ def classify(inp: BundleInput) -> Classification:
     r = form.rank - 1
     if t is W2Type.II:
         q8 = s = None
-        coords: tuple[int, ...] = (ks,)
     else:
         qraw = form.square(ct)
         q8 = min(qraw % 8, (-qraw) % 8)
         s = (form.rank + qraw) % 2 if t is W2Type.I else None
-        coords = (ks, q8) if s is None else (ks, q8, s)
-    kind = GroupKind(Category.TOP, FLAVOR_FOR_TYPE[t])
-    inv = Invariants(Category.TOP, t, r, bordism._element(kind, coords))
+    inv = _invariants(Category.TOP, t, r, {"E8": ks, "RP4": q8, "CP2": s})
     homeo = standard_form_from_invariants(inv)
     smoothable = ks == 0
     # smooth type III: class known only mod 8, so q8 and 8-q8 in Z/16 mod +-

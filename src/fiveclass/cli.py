@@ -196,6 +196,10 @@ def _cmd_bordism(args) -> int:
     op = args.operation
     if op in ("info", "neg", "canon", "forget") and len(args.args) != 1:
         raise InputError(f"bordism {op} takes one argument, got {len(args.args)}")
+    if op == "table" and args.args:
+        raise InputError(f"bordism table takes no arguments, got {len(args.args)}")
+    if args.json and op != "info":
+        raise InputError(f"bordism {op} has no --json output; only info has")
     if op == "table":
         for kind in bordism.ALL_KINDS:
             info = bordism.group_info(kind)
@@ -207,20 +211,13 @@ def _cmd_bordism(args) -> int:
     if op == "info":
         kind = bordism.kind_from_name(args.args[0])
         info = bordism.group_info(kind)
+        rows = {k: list(getattr(info, k)) for k in ("orders", "invariants", "generators")}
         if args.json:
-            _print_json(
-                {
-                    "kind": kind.name,
-                    "orders": list(info.orders),
-                    "invariants": list(info.invariants),
-                    "generators": list(info.generators),
-                }
-            )
+            _print_json({"kind": kind.name, **rows})
         else:
             print(f"group: {kind.name}")
-            print(f"orders: {list(info.orders)}")
-            print(f"invariants: {list(info.invariants)}")
-            print(f"generators: {list(info.generators)}")
+            for key, value in rows.items():
+                print(f"{key}: {value}")
         return 0
     elems = [bordism.parse_element(t) for t in args.args]
     if op == "add":

@@ -8,7 +8,10 @@ algebra.invariants: one validated group element per block, negated on a
 framed join and added to a running total.  walk_invariants is the former
 algebra.invariants, which walks the blocks for each of r, the w2-type and
 [P]; term_loop_parse is the former parser, which tries the term regexes
-one after another at each token.
+one after another at each token.  positional_ks/q/s,
+positional_check_relations and positional_standard_form are the former
+readers of [P], which pick the KS bit p, q and s out of the coordinate
+tuple by position, with one branch per category or w2-type.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from fiveclass.algebra import (
     Invariants,
     ManifoldExpression,
     S2xRP3,
+    StandardForm,
     StarS2xRP3,
     W2Type,
+    family_base,
 )
 from fiveclass.bordism import BordismElement, GroupKind
 from fiveclass.errors import (
@@ -39,6 +44,7 @@ from fiveclass.errors import (
     ExpressionSyntaxError,
     InvalidExpressionError,
     InvalidFormError,
+    NonIntegralKError,
 )
 from fiveclass.parsing import TERMS, _shown
 
@@ -198,6 +204,61 @@ def walk_invariants(e: ManifoldExpression) -> Invariants:
             sums[g] = sums.get(g, 0) + (-c if bit else c)
     p_class = BordismElement(kind, (sums.get(g, 0) for g in kind.generators))
     return Invariants(e.category, w2type, r, p_class)
+
+
+def positional_ks(inv: Invariants) -> int | None:
+    """Kirby-Siebenmann bit; None in the smooth category."""
+    if inv.category is Category.TOP:
+        return inv.p_class.coords[0]
+    return None
+
+
+def positional_q(inv: Invariants) -> int | None:
+    """The arf-style coordinate, where the group has one."""
+    if inv.w2type is W2Type.II:
+        return None
+    return inv.p_class.coords[-1 if inv.w2type is W2Type.III else -2]
+
+
+def positional_s(inv: Invariants) -> int | None:
+    """The w2^2 coordinate (type I only)."""
+    if inv.w2type is not W2Type.I:
+        return None
+    return inv.p_class.coords[-1]
+
+
+def positional_check_relations(inv: Invariants) -> bool:
+    """Parity relations among (type, q, s, r); parities are +/- invariant."""
+    if inv.w2type is W2Type.II:
+        return inv.r % 2 == 1
+    if inv.w2type is W2Type.III:
+        return (positional_q(inv) + inv.r) % 2 == 1
+    return (positional_q(inv) + positional_s(inv) + inv.r) % 2 == 1
+
+
+def positional_standard_form(inv: Invariants) -> StandardForm:
+    """The unique standard form with the given invariants.
+
+    k is recovered by inverting the rank formula of the matching family;
+    a non-integral or negative k cannot arise from a block expression and is
+    reported as an internal inconsistency.
+    """
+    rep = inv.canonical().rep
+    top = inv.category is Category.TOP
+    p = rep[0] if top else None
+    if inv.w2type is W2Type.II:
+        q = s = None
+    elif inv.w2type is W2Type.III:
+        q, s = rep[-1], None
+    else:
+        q, s = rep[-2], rep[-1]
+    k2 = inv.r - family_base(inv.w2type, q, s)
+    if k2 < 0 or k2 % 2:
+        raise NonIntegralKError(
+            f"no standard family matches invariants "
+            f"(type {inv.w2type.value}, r={inv.r}, class {rep})"
+        )
+    return StandardForm(inv.category, inv.w2type, k2 // 2, q=q, s=s, p=p)
 
 
 def _pattern(pieces: tuple[str, ...]) -> re.Pattern:

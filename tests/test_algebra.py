@@ -6,7 +6,16 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _contribution, fold_p_class, walk_invariants
+from oracles import (
+    _contribution,
+    fold_p_class,
+    positional_check_relations,
+    positional_ks,
+    positional_q,
+    positional_s,
+    positional_standard_form,
+    walk_invariants,
+)
 
 from fiveclass import algebra, bordism
 from fiveclass.algebra import (
@@ -222,6 +231,69 @@ def test_check_relations_examples():
     assert not check_relations(bad)  # q + r = 2, even
     good = invariants(smooth(FakeRP5(1), CP2xS1()))  # I: q=1, s=1, r=1
     assert check_relations(good)
+
+
+# -- [P] read and built by generator name ------------------------------------------
+
+def _invariants_over_every_group(r_values):
+    """Invariants for every element of each of the six groups, with the
+    (category, w2-type) that uses the group, at each r in r_values."""
+    for category, w2type in product(Category, W2Type):
+        kind = bordism.GroupKind(category, algebra.FLAVOR_FOR_TYPE[w2type])
+        for e in bordism.elements(kind):
+            for r in r_values:
+                yield algebra.Invariants(category, w2type, r, e)
+
+
+def test_named_reads_match_positional_oracle():
+    for inv in _invariants_over_every_group(range(4)):
+        named = (inv.ks, inv.q, inv.s)
+        assert named == (positional_ks(inv), positional_q(inv), positional_s(inv)), inv
+        assert check_relations(inv) == positional_check_relations(inv), inv
+
+
+def test_standard_form_from_invariants_matches_positional_oracle():
+    # r = 0..5 holds an r that admits a family, for each class
+    admitted = set()
+    for inv in _invariants_over_every_group(range(6)):
+        try:
+            expected = positional_standard_form(inv)
+        except NonIntegralKError:
+            with pytest.raises(NonIntegralKError):
+                algebra.standard_form_from_invariants(inv)
+            continue
+        assert algebra.standard_form_from_invariants(inv) == expected, inv
+        admitted.add(inv.p_class)
+    assert len(admitted) == sum(k.group_order for k in bordism.ALL_KINDS) == 83
+
+
+def test_unchecked_invariants_match_checked_ones():
+    for inv in _invariants_over_every_group((0, 3)):
+        gens = inv.p_class.kind.generators
+        named = dict(zip(gens, inv.p_class.coords))
+        fast = algebra._invariants(inv.category, inv.w2type, inv.r, named)
+        assert fast == inv and hash(fast) == hash(inv)
+
+
+_TPINP_13 = bordism.BordismElement(bordism.kind_from_name("top-pin+"), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "category, w2type, r, p_class",
+    [
+        ("top", W2Type.III, 0, _TPINP_13),  # category as a string
+        (Category.TOP, "III", 0, _TPINP_13),  # w2-type as a string
+        (Category.TOP, W2Type.I, 0, _TPINP_13),  # type I needs top-pinc
+        (Category.SMOOTH, W2Type.III, 0, _TPINP_13),  # smooth needs pin+
+        (Category.TOP, W2Type.III, 0, (1, 3)),  # not a BordismElement
+        (Category.TOP, W2Type.III, 1.0, _TPINP_13),
+        (Category.TOP, W2Type.III, True, _TPINP_13),
+        (Category.TOP, W2Type.III, -1, _TPINP_13),
+    ],
+)
+def test_invariants_checks_its_fields(category, w2type, r, p_class):
+    with pytest.raises(InvalidExpressionError):
+        algebra.Invariants(category, w2type, r, p_class)
 
 
 _BLOCK_VOCAB_SMOOTH = [

@@ -1,5 +1,8 @@
 """Tests for the six bordism groups: table data, arithmetic, quotient."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +55,33 @@ def test_group_invariant_names():
     assert group_info(PINC).invariants == ("arf", "w2^2")
     assert group_info(TPINC).invariants == ("KS", "arf", "w2^2")
     assert group_info(TPINM).invariants == ("KS",)
+
+
+def test_coord_reads_by_generator_name():
+    e = BordismElement(TPINC, (1, 3, 0))
+    assert (e.coord("E8"), e.coord("RP4"), e.coord("CP2")) == (1, 3, 0)
+    assert BordismElement(PINC, (5, 1)).coord("E8") is None
+    assert canonicalize(BordismElement(TPINP, (1, 5))).coord("RP4") == 3
+    assert BordismElement(PINM, ()).coord("RP4") is None
+
+
+def test_named_builder_reduces_and_drops():
+    assert bordism._named(PINC, {"E8": 1, "RP4": 9, "CP2": 3}) == BordismElement(PINC, (1, 1))
+    assert bordism._named(TPINC, {"RP4": -1}) == BordismElement(TPINC, (0, 7, 0))
+    assert bordism._named(PINM, {"E8": 1, "RP4": 2}) == BordismElement(PINM, ())
+
+
+def test_coordinate_layout_lives_in_bordism():
+    # outside bordism.py, [P] is read by generator name, never by position
+    package = Path(bordism.__file__).parent
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "bordism.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\b(coords|rep)\[", line)
+    ]
+    assert hits == []
 
 
 def test_add_examples():

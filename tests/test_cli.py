@@ -185,6 +185,21 @@ def test_bordism_arity_exit_two(capsys):
         assert "takes one argument" in err
     code, _, _ = run(capsys, "bordism", "neg", "pin+:1", "pin+:2")
     assert code == 2
+    code, out, err = run(capsys, "bordism", "table", "extra", "args")
+    assert (code, out) == (2, "") and "takes no arguments" in err
+    # only info has --json output
+    for argv in (
+        ("table",),
+        ("add", "pin+:1", "pin+:2"),
+        ("neg", "pin+:1"),
+        ("canon", "pin+:1"),
+        ("forget", "pin+:1"),
+    ):
+        code, out, err = run(capsys, "bordism", *argv, "--json")
+        assert (code, out) == (2, ""), argv
+        assert "--json" in err
+    code, out, _ = run(capsys, "bordism", "info", "pin+", "--json")
+    assert code == 0 and json.loads(out)["kind"] == "pin+"
 
 
 def test_bordism_operations(capsys):
