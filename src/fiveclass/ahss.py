@@ -35,7 +35,7 @@ quoted facts about these groups, not derived from page data here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
@@ -44,8 +44,7 @@ from .errors import AhssOrderError, ConsistencyError, RangeExceededError
 from .gf2 import Gf2Matrix
 
 P_MAX = 7
-R_MAX = 6
-OMEGA5_R_MAX = 4
+R_MAX = 4
 
 # Omega_q^Spin for q = 0..5, as (free rank, F2 rank) descriptors
 SPIN_COEFFS = ("Z", "Z/2", "Z/2", "0", "Z", "0")
@@ -59,21 +58,29 @@ class Twist(str, Enum):
     GAMMA = "gamma"
 
 
+# Every (r, twist) this module computes, in selftest order.  The gamma twist
+# class is beta_1, so it needs one CP^infty factor.
+LINES = tuple((r, t) for t in Twist for r in range(1 if t is Twist.GAMMA else 0, R_MAX + 1))
+
+
+def _check_line(r: int, twist: Twist) -> None:
+    if type(r) is not int or type(twist) is not Twist or (r, twist) not in LINES:
+        raise RangeExceededError(
+            f"no degree-5 line for r={r!r}, twist={getattr(twist, 'value', twist)!r}: "
+            f"r runs over 0..{R_MAX}, from 1 for gamma"
+        )
+
+
 def degree(m: Monomial) -> int:
     return m[0] + 2 * sum(m[1])
-
-
-def _check_range(p: int, r: int) -> None:
-    if not 0 <= p <= P_MAX:
-        raise RangeExceededError(f"degree p={p} out of range 0..{P_MAX}")
-    if not 0 <= r <= R_MAX:
-        raise RangeExceededError(f"r={r} out of range 0..{R_MAX}")
 
 
 @lru_cache(maxsize=None)
 def monomials(p: int, r: int) -> tuple[Monomial, ...]:
     """All monomials of total degree p in alpha, beta_1..beta_r, sorted."""
-    _check_range(p, r)
+    if not 0 <= p <= P_MAX:
+        raise RangeExceededError(f"degree p={p} out of range 0..{P_MAX}")
+    _check_line(r, Twist.NONE)  # the untwisted lines take every r
     out: list[Monomial] = []
 
     def rec(i: int, remaining: int, acc: tuple[int, ...]):
@@ -105,32 +112,23 @@ def sq2(m: Monomial) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def twist_class(twist: Twist, r: int) -> Monomial | None:
-    if twist is Twist.NONE:
-        return None
-    if twist is Twist.TWO_ETA:
-        return (2, (0,) * r)
-    if r < 1:
-        raise RangeExceededError("gamma twist needs r >= 1")
-    return (0, (1,) + (0,) * (r - 1))
-
-
 def sq2_twisted(m: Monomial, twist: Twist, r: int) -> frozenset[Monomial]:
-    """(Sq^2 + u)(m) where u is the twist class (cup product = addition)."""
-    out = set(sq2(m))
-    u = twist_class(twist, r)
-    if u is not None:
-        prod = (m[0] + u[0], tuple(x + y for x, y in zip(m[1], u[1])))
-        out ^= {prod}
-    return frozenset(out)
+    """(Sq^2 + u)(m), where the twist class u is 0, alpha^2 (2*eta) or
+    beta_1 (gamma); the cup product u*m adds exponents."""
+    _check_line(r, twist)
+    a, bs = m
+    if twist is Twist.TWO_ETA:
+        return sq2(m) ^ {(a + 2, bs)}
+    if twist is Twist.GAMMA:
+        return sq2(m) ^ {(a, (bs[0] + 1,) + bs[1:])}
+    return sq2(m)
 
 
 def integral_homology(p: int, r: int) -> tuple[int, int]:
     """(free rank, number of Z/2 summands) of H_p(B; Z), by Kunneth."""
-    ms = monomials(p, r)
-    free = sum(1 for a, _ in ms if a == 0)
-    torsion = sum(1 for a, _ in ms if a % 2 == 1)
-    return free, torsion
+    gens = integral_generators(p, r)
+    free = sum(1 for a, _ in gens if a == 0)
+    return free, len(gens) - free
 
 
 def integral_generators(p: int, r: int) -> tuple[Monomial, ...]:
@@ -152,25 +150,16 @@ class D2Matrix:
     composed with mod-2 reduction on the q = 0 row.
     """
 
-    p: int
-    q: int
-    twist: Twist
     row_basis: tuple[Monomial, ...]
     col_basis: tuple[Monomial, ...]
     matrix: Gf2Matrix
 
-    def rank(self) -> int:
-        return self.matrix.rank()
-
 
 def d2_matrix(p: int, q: int, r: int, twist: Twist) -> D2Matrix:
-    if q not in (0, 1):
-        raise RangeExceededError(f"d2 sources live on q in {{0,1}}, got q={q}")
-    _check_range(p, r)
-    if p < 2:
-        rows_b: tuple[Monomial, ...] = ()
-    else:
-        rows_b = monomials(p - 2, r)
+    if q not in (0, 1) or not 2 <= p <= P_MAX:
+        raise RangeExceededError(f"d2 sources are p in 2..{P_MAX}, q in {{0,1}}; got ({p},{q})")
+    _check_line(r, twist)
+    rows_b = monomials(p - 2, r)
     cols_b = monomials(p, r) if q == 1 else integral_generators(p, r)
     col_index = {m: j for j, m in enumerate(cols_b)}
     rows = []
@@ -181,14 +170,15 @@ def d2_matrix(p: int, q: int, r: int, twist: Twist) -> D2Matrix:
             if j is not None:
                 mask |= 1 << j
         rows.append(mask)
-    return D2Matrix(p, q, twist, rows_b, cols_b, Gf2Matrix(tuple(rows), len(cols_b)))
+    return D2Matrix(rows_b, cols_b, Gf2Matrix(tuple(rows), len(cols_b)))
 
 
 # -- the total degree 5 line --------------------------------------------------
 
 @dataclass(frozen=True)
 class Line5:
-    """E3 data along p+q = 5 and the declared d3, with the resulting order."""
+    """E3 data along p+q = 5 and the declared d3, with the resulting order,
+    the closed-form order it must equal and the d2 maps it was computed from."""
 
     r: int
     twist: Twist
@@ -199,18 +189,26 @@ class Line5:
     e3_42: int
     d3_rank: int
     log2_order: int
+    expected: int
+    d2: dict = field(repr=False, compare=False)  # (p, q) -> D2Matrix
 
     @property
     def order(self) -> int:
         return 1 << self.log2_order
 
+    def checked_order(self) -> int:
+        """The order; raises AhssOrderError when it is not the closed form."""
+        if self.order != self.expected:
+            raise AhssOrderError(
+                f"computed order {self.order} != closed form {self.expected} "
+                f"(r={self.r}, twist={self.twist.value})"
+            )
+        return self.order
+
 
 def expected_order(r: int, twist: Twist) -> int:
     """Closed-form order of the degree-5 bordism group."""
-    if twist is Twist.GAMMA and r < 1:
-        raise RangeExceededError("gamma twist needs r >= 1")
-    if r < 0:
-        raise RangeExceededError("r must be >= 0")
+    _check_line(r, twist)
     g = 4**r * 2 ** (r * (r - 1) // 2)
     if twist is Twist.NONE:
         return g
@@ -220,29 +218,29 @@ def expected_order(r: int, twist: Twist) -> int:
 
 
 def compute_line5(r: int, twist: Twist) -> Line5:
-    """E3 along total degree 5 from exact F2 ranks, plus the d3 policy."""
-    if not 0 <= r <= OMEGA5_R_MAX:
-        raise RangeExceededError(f"omega5 computation supports r in 0..{OMEGA5_R_MAX}")
-    if twist is Twist.GAMMA and r < 1:
-        raise RangeExceededError("gamma twist needs r >= 1")
+    """E3 along total degree 5 from exact F2 ranks, plus the d3 policy.
 
-    d_50 = d2_matrix(5, 0, r, twist)  # (5,0) -> (3,1)
-    d_41 = d2_matrix(4, 1, r, twist)  # (4,1) -> (2,2)
-    d_60 = d2_matrix(6, 0, r, twist)  # (6,0) -> (4,1)
-    d_51 = d2_matrix(5, 1, r, twist)  # (5,1) -> (3,2)
-    d_61 = d2_matrix(6, 1, r, twist)  # (6,1) -> (4,2)
+    Builds every d2 out of q in {0, 1}, p = 2..P_MAX, and first checks
+    d2 o d2 = 0 on each composable pair; the page shows these same maps.
+    """
+    d2 = {(p, q): d2_matrix(p, q, r, twist) for q in (0, 1) for p in range(2, P_MAX + 1)}
+    for (p, q), mat in d2.items():
+        nxt = d2.get((p - 2, q + 1))
+        if nxt is not None and not nxt.matrix.mul(mat.matrix).is_zero():
+            raise ConsistencyError(
+                f"d2 o d2 != 0 out of ({p},{q}) (r={r}, twist={twist.value})"
+            )
 
-    # d2 o d2 = 0 guarantees images land inside kernels
-    if not d_41.matrix.mul(d_60.matrix).is_zero():
-        raise ConsistencyError("d2 composition (6,0) -> (4,1) -> (2,2) is nonzero")
-
-    e3_50 = len(d_50.col_basis) - d_50.rank()
-    e3_41 = (len(d_41.col_basis) - d_41.rank()) - d_60.rank()
-    e3_32 = len(monomials(3, r)) - d_51.rank()
+    d_50, d_41, d_60, d_51, d_61 = (d2[k] for k in ((5, 0), (4, 1), (6, 0), (5, 1), (6, 1)))
+    e3_50 = len(d_50.col_basis) - d_50.matrix.rank()  # kernel of (5,0) -> (3,1)
+    # kernel of (4,1) -> (2,2) modulo the image of (6,0) -> (4,1)
+    e3_41 = (len(d_41.col_basis) - d_41.matrix.rank()) - d_60.matrix.rank()
+    e3_32 = len(monomials(3, r)) - d_51.matrix.rank()  # cokernel of (5,1) -> (3,2)
     e3_14 = 1  # H_1(B; Z) = Z/2, no d2 in or out
-    e3_42 = len(monomials(4, r)) - d_61.rank()
+    e3_42 = len(monomials(4, r)) - d_61.matrix.rank()  # cokernel of (6,1) -> (4,2)
     if e3_41 < 0:
         raise ConsistencyError("image exceeds kernel at (4,1)")
+    want = expected_order(r, twist)
 
     if twist is Twist.NONE:
         # the (1,4) corner must die; needs a nonzero source
@@ -254,16 +252,16 @@ def compute_line5(r: int, twist: Twist) -> Line5:
     else:
         # gamma: the unique rank matching the closed form
         base = e3_50 + e3_41 + e3_32 + e3_14
-        want = expected_order(r, twist).bit_length() - 1
-        d3_rank = base - want
+        log2_want = want.bit_length() - 1
+        d3_rank = base - log2_want
         if d3_rank not in (0, 1) or (d3_rank == 1 and e3_42 < 1):
             raise AhssOrderError(
                 f"no admissible d3 rank matches the closed form at r={r}: "
-                f"page total 2^{base}, expected 2^{want}"
+                f"page total 2^{base}, expected 2^{log2_want}"
             )
 
     log2 = e3_50 + e3_41 + e3_32 + (e3_14 - d3_rank)
-    return Line5(r, twist, e3_50, e3_41, e3_32, e3_14, e3_42, d3_rank, log2)
+    return Line5(r, twist, e3_50, e3_41, e3_32, e3_14, e3_42, d3_rank, log2, want, d2)
 
 
 def omega5_order(r: int, twist: Twist) -> int:
@@ -272,33 +270,21 @@ def omega5_order(r: int, twist: Twist) -> int:
     Raises AhssOrderError whenever the computed order disagrees with the
     closed form, for every twist.
     """
-    line = compute_line5(r, twist)
-    want = expected_order(r, twist)
-    if line.order != want:
-        raise AhssOrderError(
-            f"computed order {line.order} != closed form {want} "
-            f"(r={r}, twist={twist.value})"
-        )
-    return line.order
+    return compute_line5(r, twist).checked_order()
 
 
 # -- page fragments for display -----------------------------------------------
 
 @dataclass(frozen=True)
 class Page:
-    """E2 fragment for p+q <= 6 with the d2 data out of q in {0, 1}."""
+    """E2 fragment for p+q <= 6, the d2 data out of q in {0, 1}, and the
+    degree-5 line computed from that same data."""
 
     r: int
     twist: Twist
     entries: dict  # (p, q) -> descriptor string
     d2: dict  # (p, q) -> D2Matrix
-
-    def validate(self) -> None:
-        """d o d = 0 for every composable pair in range."""
-        for (p, q), mat in self.d2.items():
-            nxt = self.d2.get((p - 2, q + 1))
-            if nxt is not None and not nxt.matrix.mul(mat.matrix).is_zero():
-                raise ConsistencyError(f"d2 o d2 != 0 out of ({p},{q})")
+    line: Line5
 
 
 def _descriptor(p: int, q: int, r: int) -> str:
@@ -320,51 +306,40 @@ def _descriptor(p: int, q: int, r: int) -> str:
 
 
 def page(r: int, twist: Twist) -> Page:
-    _check_range(0, r)
+    line = compute_line5(r, twist)
     entries = {
         (p, q): _descriptor(p, q, r)
         for q in range(6)
         for p in range(0, 7 - q)
     }
-    d2 = {
-        (p, q): d2_matrix(p, q, r, twist)
-        for q in (0, 1)
-        for p in range(2, P_MAX + 1)
-    }
-    pg = Page(r, twist, entries, d2)
-    pg.validate()
-    return pg
+    return Page(r, twist, entries, line.d2, line)
 
 
 def format_page(pg: Page) -> str:
     """Aligned text table of the E2 fragment plus d2 ranks and E3 data."""
     width = max(len(v) for v in pg.entries.values()) + 2
     lines = [f"E2 page, r={pg.r}, twist={pg.twist.value} (rows q, columns p):"]
-    header = "  q\\p" + "".join(f"{p:>{width}}" for p in range(7))
-    lines.append(header)
+    lines.append("  q\\p" + "".join(f"{p:>{width}}" for p in range(7)))
     for q in range(5, -1, -1):
-        cells = []
-        for p in range(7):
-            cells.append(pg.entries.get((p, q), ""))
+        cells = [pg.entries.get((p, q), "") for p in range(7)]
         lines.append(f"  {q:>3}" + "".join(f"{c:>{width}}" for c in cells))
     lines.append("")
     lines.append("d2 ranks (dual Sq^2 + twist; q=0 sources reduced mod 2):")
     for (p, q), mat in sorted(pg.d2.items()):
         lines.append(
             f"  d2: ({p},{q}) -> ({p - 2},{q + 1})   "
-            f"{mat.matrix.nrows}x{mat.matrix.ncols}, rank {mat.rank()}"
+            f"{mat.matrix.nrows}x{mat.matrix.ncols}, rank {mat.matrix.rank()}"
         )
-    if pg.r <= OMEGA5_R_MAX and not (pg.twist is Twist.GAMMA and pg.r < 1):
-        line = compute_line5(pg.r, pg.twist)
-        lines.append("")
-        lines.append(
-            "E3 along p+q=5: "
-            f"(5,0): 2^{line.e3_50}  (4,1): 2^{line.e3_41}  "
-            f"(3,2): 2^{line.e3_32}  (1,4): 2^{line.e3_14}"
-        )
-        lines.append(
-            f"declared d3 rank (4,2)->(1,4): {line.d3_rank}   "
-            f"E3(4,2) dim {line.e3_42}"
-        )
-        lines.append(f"group order: 2^{line.log2_order} = {line.order}")
+    line = pg.line
+    lines.append("")
+    lines.append(
+        "E3 along p+q=5: "
+        f"(5,0): 2^{line.e3_50}  (4,1): 2^{line.e3_41}  "
+        f"(3,2): 2^{line.e3_32}  (1,4): 2^{line.e3_14}"
+    )
+    lines.append(
+        f"declared d3 rank (4,2)->(1,4): {line.d3_rank}   "
+        f"E3(4,2) dim {line.e3_42}"
+    )
+    lines.append(f"group order: 2^{line.log2_order} = {line.order}")
     return "\n".join(lines)

@@ -37,6 +37,11 @@ from .errors import InvalidFormError, WrongDivisibilityError, ZeroClassError
 from .forms import CohomologyClass, IntersectionForm
 
 
+def _check_ks(ks: int) -> None:
+    if type(ks) is not int or ks not in (0, 1):
+        raise InvalidFormError(f"ks must be 0 or 1, got {ks!r}")
+
+
 @dataclass(frozen=True)
 class BundleInput:
     form: IntersectionForm
@@ -44,8 +49,7 @@ class BundleInput:
     c1: CohomologyClass
 
     def __post_init__(self):
-        if type(self.ks) is not int or self.ks not in (0, 1):
-            raise InvalidFormError(f"ks must be 0 or 1, got {self.ks!r}")
+        _check_ks(self.ks)
         if len(self.c1) != self.form.rank:
             raise InvalidFormError(
                 f"c1 has length {len(self.c1)}, form has rank {self.form.rank}"
@@ -81,6 +85,7 @@ def _w2_type_of_half(form: IntersectionForm, ct: CohomologyClass) -> W2Type:
 
 def is_smoothable(ks: int, c1: CohomologyClass) -> bool:
     """Odd divisibility: always smoothable.  Even: smoothable iff KS(X)=0."""
+    _check_ks(ks)
     m = c1.divisibility()
     if m == 0:
         raise ZeroClassError("c1 is the zero class; the bundle is trivial")

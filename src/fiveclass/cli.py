@@ -241,17 +241,15 @@ def _cmd_bordism(args) -> int:
 def _cmd_ahss(args) -> int:
     from . import ahss
 
-    name = args.twist.strip().lower()
-    try:
-        twist = ahss.Twist("2eta" if name == "two-eta" else name)
-    except ValueError as exc:
-        raise InputError(f"unknown twist {args.twist!r}; expected none, 2eta or gamma") from exc
-    if args.dump_pages:
-        print(ahss.format_page(ahss.page(args.r, twist)))
+    if args.dump_pages and args.json:
+        raise InputError("ahss --dump-pages has no --json output")
+    twist = ahss.Twist(args.twist)
+    pg = ahss.page(args.r, twist) if args.dump_pages else None
+    line = pg.line if pg else ahss.compute_line5(args.r, twist)
+    order = line.checked_order()  # raises AhssOrderError on a mismatch
+    if pg:
+        print(ahss.format_page(pg))
         print()
-    line = ahss.compute_line5(args.r, twist)
-    want = ahss.expected_order(args.r, twist)
-    order = ahss.omega5_order(args.r, twist)  # raises AhssOrderError on mismatch
     if args.json:
         _print_json(
             {
@@ -259,7 +257,7 @@ def _cmd_ahss(args) -> int:
                 "twist": twist.value,
                 "order": order,
                 "log2": line.log2_order,
-                "expected": want,
+                "expected": line.expected,
                 "e3": {
                     "(5,0)": line.e3_50,
                     "(4,1)": line.e3_41,
@@ -272,7 +270,7 @@ def _cmd_ahss(args) -> int:
     else:
         print(
             f"order of the degree-5 group, r={args.r}, twist={twist.value}: "
-            f"{order} (= 2^{line.log2_order}), closed form {want}: OK"
+            f"{order} (= 2^{line.log2_order}), closed form {line.expected}: OK"
         )
     return 0
 
@@ -360,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ahss", help="spectral-sequence order check")
     p.add_argument("--r", type=ascii_int, required=True)
-    p.add_argument("--twist", default="none", help="none, 2eta or gamma")
+    # the values of ahss.Twist, written out so that cli need not import ahss
+    p.add_argument("--twist", choices=["none", "2eta", "gamma"], default="none")
     p.add_argument("--dump-pages", action="store_true", dest="dump_pages")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ahss)
@@ -378,9 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_c1(argv: Sequence[str]) -> list[str]:
+    """Pass `--c1 -2,2` on as `--c1=-2,2`, up to a `--`: argparse would read
+    a value with a leading minus as an option."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            return [*out, tok, *tokens]
+        value = next(tokens, None) if tok == "--c1" else None
+        out.append(tok if value is None else f"--c1={value}")
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_c1(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout surfaces here, not at exit

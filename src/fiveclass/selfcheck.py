@@ -113,14 +113,14 @@ def check_algebra(seed: int, count: int) -> str:
 
 
 def check_ahss(seed: int, count: int) -> str:
-    """Spectral-sequence orders against closed forms, per (twist, r <= 4)."""
-    lines = [(r, t) for t in ahss.Twist for r in range(1 if t is ahss.Twist.GAMMA else 0, 5)]
-    for case, (r, twist) in enumerate(lines):
-        order, want = ahss.compute_line5(r, twist).order, ahss.expected_order(r, twist)
+    """Spectral-sequence orders against closed forms, per line in ahss.LINES."""
+    for case, (r, twist) in enumerate(ahss.LINES):
+        line = ahss.compute_line5(r, twist)
         _require("ahss", seed, case, {
-            f"order {order} != closed form {want} (r={r}, twist={twist.value})": order == want
+            f"order {line.order} != closed form {line.expected} (r={r}, twist={twist.value})":
+                line.order == line.expected
         })
-    return "ok: spectral-sequence orders match closed forms for r <= 4"
+    return f"ok: spectral-sequence orders match closed forms for r <= {ahss.R_MAX}"
 
 
 def check_forms(seed: int, count: int) -> str:

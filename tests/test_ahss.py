@@ -4,6 +4,8 @@ import pytest
 
 from fiveclass import ahss
 from fiveclass.ahss import (
+    LINES,
+    R_MAX,
     Twist,
     compute_line5,
     d2_matrix,
@@ -15,7 +17,9 @@ from fiveclass.ahss import (
     sq2,
     sq2_twisted,
 )
-from fiveclass.errors import RangeExceededError
+from fiveclass.cli import main
+from fiveclass.errors import ConsistencyError, RangeExceededError
+from fiveclass.gf2 import Gf2Matrix
 
 A = lambda k, *bs: (k, tuple(bs))  # noqa: E731  monomial shorthand
 
@@ -128,12 +132,11 @@ def test_d2_q0_restricts_to_integral_generators():
 def test_d2_squares_to_zero_everywhere():
     # the only composable pairs in range: (p,0) -> (p-2,1) -> (p-4,2);
     # differentials out of q = 2 land in zero coefficient groups
-    for twist in Twist:
-        for r in range(0 if twist is not Twist.GAMMA else 1, 5):
-            for p in range(4, 8):
-                first = d2_matrix(p, 0, r, twist)
-                second = d2_matrix(p - 2, 1, r, twist)
-                assert second.matrix.mul(first.matrix).is_zero(), (p, twist)
+    for r, twist in LINES:
+        for p in range(4, 8):
+            first = d2_matrix(p, 0, r, twist)
+            second = d2_matrix(p - 2, 1, r, twist)
+            assert second.matrix.mul(first.matrix).is_zero(), (p, twist)
 
 
 # -- the degree-5 line ------------------------------------------------------------------
@@ -162,12 +165,41 @@ def test_omega5_orders_match_closed_forms():
         for r, want in table.items():
             assert expected_order(r, twist) == want
             assert omega5_order(r, twist) == want
+    assert sorted(LINES) == sorted((r, t) for t, table in expected.items() for r in table)
+
+
+# (r, twist) outside LINES, including a bool r and a twist given by its name
+_OUT_OF_RANGE = [
+    (-1, Twist.NONE), (R_MAX + 1, Twist.NONE), (R_MAX + 1, Twist.TWO_ETA),
+    (0, Twist.GAMMA), (R_MAX + 1, Twist.GAMMA), (True, Twist.NONE), (1, "gamma"),
+]
+
+
+@pytest.mark.parametrize("r, twist", _OUT_OF_RANGE)
+def test_every_entry_point_refuses_a_line_outside_lines(r, twist):
+    messages = set()
+    for call in (page, compute_line5, expected_order, lambda r, t: d2_matrix(4, 1, r, t)):
+        with pytest.raises(RangeExceededError) as exc:
+            call(r, twist)
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
+
+
+def test_d2_composition_check_catches_a_nonzero_product(monkeypatch, capsys):
+    # a planted fault: every composite d2 o d2 comes out nonzero
+    monkeypatch.setattr(Gf2Matrix, "mul", lambda a, b: Gf2Matrix((1,), 1))
+    for build in (page, compute_line5):
+        with pytest.raises(ConsistencyError, match=r"d2 o d2 != 0"):
+            build(2, Twist.NONE)
+    for extra in ([], ["--dump-pages"]):
+        code = main(["ahss", "--r", "2", *extra])
+        out = capsys.readouterr().out
+        assert (code, out) == (3, ""), extra
 
 
 def test_page_validates_and_formats():
     for twist in Twist:
         pg = page(2, twist)
-        pg.validate()
         text = ahss.format_page(pg)
         assert "E2 page" in text
         assert "group order" in text

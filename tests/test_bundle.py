@@ -119,6 +119,15 @@ def test_bundle_input_validation():
         BundleInput(IntersectionForm([[1]]), True, c(2))
 
 
+@pytest.mark.parametrize("ks", [2, True, 1.0])
+def test_is_smoothable_checks_ks_as_bundle_input_does(ks):
+    with pytest.raises(InvalidFormError) as built:
+        BundleInput(IntersectionForm([[1]]), ks, c(2))
+    with pytest.raises(InvalidFormError) as asked:
+        is_smoothable(ks, c(2))
+    assert str(asked.value) == str(built.value)
+
+
 def test_classify_negated_c1_gives_same_answer():
     rng = random.Random(5)
     for _ in range(25):

@@ -253,6 +253,39 @@ def test_ahss_out_of_range_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--r", "-1"],
+        ["--r", "5"],
+        ["--r", "5", "--dump-pages"],
+        ["--r", "7", "--dump-pages"],
+        ["--r", "0", "--twist", "gamma"],
+        ["--r", "0", "--twist", "gamma", "--dump-pages"],
+    ],
+)
+def test_ahss_outside_lines_exit_two_with_one_message(capsys, argv):
+    code, out, err = run(capsys, "ahss", *argv)
+    assert (code, out) == (2, "")
+    assert "no degree-5 line" in err and "0..4" in err
+
+
+def test_ahss_takes_exactly_the_twist_names(capsys):
+    for twist in ahss.Twist:
+        assert run(capsys, "ahss", "--r", "1", "--twist", twist.value)[0] == 0
+    for name in ("two-eta", " GAMMA ", "Gamma", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["ahss", "--r", "1", "--twist", name])
+        assert exc.value.code == 2, name
+        assert capsys.readouterr().out == ""
+
+
+def test_ahss_dump_pages_has_no_json(capsys):
+    code, out, err = run(capsys, "ahss", "--r", "1", "--dump-pages", "--json")
+    assert (code, out) == (2, "")
+    assert "--json" in err
+
+
 def test_ahss_order_mismatch_exit_three(capsys, monkeypatch):
     # force a disagreement with the closed form: the checker must exit 3
     monkeypatch.setattr(ahss, "expected_order", lambda r, twist: 7)
@@ -301,6 +334,27 @@ def test_check_failure_names_its_case(capsys, monkeypatch, check, target, name, 
     assert err.startswith("consistency error: " + message)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--input", "{path}", "--c1", "2,0"],
+        ["invariants", "X(1) # CP2xS1"],
+        ["normalize", "X(1) #~ X(1)"],
+        ["compare", "X(1)", "X(7)"],
+        ["enumerate", "--r-max", "3", "--category", "top"],
+        ["bordism", "info", "pin+"],
+        ["ahss", "--r", "2", "--twist", "gamma"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_is_one_document(capsys, tmp_path, argv):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"form": {"blocks": ["1", "-1"]}, "ks": 0}))
+    code, out, _ = run(capsys, *(a.format(path=path) for a in argv), "--json")
+    assert code == 0
+    json.loads(out)  # raises on anything before or after the one document
+
+
 def test_import_leaves_ahss_unloaded():
     # only the ahss and selftest subcommands need the spectral sequence
     code = "import sys, fiveclass.cli; sys.exit('fiveclass.ahss' in sys.modules)"
@@ -319,6 +373,16 @@ def test_classify_c1_non_ascii_digits_exit_two(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--input", str(path), "--c1", " 2, 2")
     assert code == 0
     assert "c1=(2,2)" in out
+
+
+@pytest.mark.parametrize("c1", ["-2,2", "-2,-2", "2,-2"])
+def test_classify_c1_with_leading_minus_reads_as_with_equals(capsys, tmp_path, c1):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"form": {"blocks": ["1", "1"]}, "ks": 0}))
+    for extra in ([], ["--json"]):
+        spaced = run(capsys, "classify", "--input", str(path), "--c1", c1, *extra)
+        joined = run(capsys, "classify", "--input", str(path), f"--c1={c1}", *extra)
+        assert spaced == joined and spaced[0] == 0, extra
 
 
 def test_bordism_non_ascii_coordinate_exit_two(capsys):
