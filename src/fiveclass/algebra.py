@@ -68,6 +68,11 @@ FLAVOR_FOR_TYPE = {
     W2Type.III: Flavor.PIN_PLUS,
 }
 
+# the bordism group of each (category, w2-type), where [P] lies
+_GROUP_OF: dict[tuple[Category, W2Type], GroupKind] = {
+    (c, t): bordism.KINDS[(c, f)] for c in Category for t, f in FLAVOR_FOR_TYPE.items()
+}
+
 
 # -- building blocks ----------------------------------------------------------
 
@@ -288,7 +293,7 @@ class Invariants:
         _enum_field("w2type", self.w2type, W2Type)
         if _int_field("r", self.r) < 0:
             raise InvalidExpressionError(f"r must be >= 0, got {self.r}")
-        kind = GroupKind(self.category, FLAVOR_FOR_TYPE[self.w2type])
+        kind = _GROUP_OF[(self.category, self.w2type)]
         if not isinstance(self.p_class, BordismElement) or self.p_class.kind != kind:
             raise InvalidExpressionError(
                 f"[P] must be an element of {kind.name}, got {self.p_class!r}"
@@ -314,12 +319,10 @@ class Invariants:
 
 
 def _invariants(category: Category, w2type: W2Type, r: int, named: dict) -> Invariants:
-    """Invariants with [P] = bordism._named(group, named), unchecked like
-    bordism._element: for results computed inside the package."""
-    p_class = bordism._named(GroupKind(category, FLAVOR_FOR_TYPE[w2type]), named)
-    inv = object.__new__(Invariants)
-    inv.__dict__.update(category=category, w2type=w2type, r=r, p_class=p_class)
-    return inv
+    """Invariants whose [P] has coefficient named[g] on each generator g of
+    the group of (category, w2type); see bordism._named."""
+    p_class = bordism._named(_GROUP_OF[(category, w2type)], named)
+    return Invariants(category, w2type, r, p_class)
 
 
 def _w2type_of(types: frozenset) -> W2Type:
@@ -365,8 +368,7 @@ def forget_invariants(inv: Invariants) -> Invariants:
     """Topological invariants underlying smooth ones (KS = 0)."""
     if inv.category is Category.TOP:
         return inv
-    named = dict(zip(inv.p_class.kind.generators, inv.p_class.coords))
-    return _invariants(Category.TOP, inv.w2type, inv.r, named)
+    return Invariants(Category.TOP, inv.w2type, inv.r, bordism.forget_smooth(inv.p_class))
 
 
 # -- standard forms -----------------------------------------------------------

@@ -17,17 +17,17 @@ GROUP_TABLE alone holds the coordinate order.  Elsewhere a coordinate is
 read by generator name (E8 is the KS bit p, RP4 is q, CP2 is s) with
 coord(), and a class is built from {generator: coefficient} with _named.
 
-Coordinates are checked once, at the boundary: BordismElement(kind, coords)
-and parse_element reject anything but the right number of ints.  Results
-computed inside the package (add, neg, forget_smooth, and the classes that
-algebra builds from coefficients) skip the checks and are only reduced.
+BordismElement(kind, coords) is the one way to make an element: it rejects
+anything but the right number of ints and reduces them.  The six GroupKinds
+are built once, in KINDS, and each reads its GROUP_TABLE row once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .errors import InputError, KindMismatchError
@@ -72,11 +72,17 @@ GROUP_TABLE: dict[tuple[Category, Flavor], tuple[tuple, tuple, tuple]] = {
 class GroupKind:
     category: Category
     flavor: Flavor
+    # the GROUP_TABLE row, read once when the kind is built
+    orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    generators: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for value, enum in ((self.category, Category), (self.flavor, Flavor)):
             if not isinstance(value, enum):
                 raise InputError(f"expected a {enum.__name__}, got {value!r}")
+        orders, generators, _ = GROUP_TABLE[(self.category, self.flavor)]
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def name(self) -> str:
@@ -84,22 +90,14 @@ class GroupKind:
         return prefix + self.flavor.value
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        return GROUP_TABLE[(self.category, self.flavor)][0]
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        return GROUP_TABLE[(self.category, self.flavor)][1]
-
-    @property
     def group_order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
 
-ALL_KINDS = tuple(GroupKind(cat, fl) for cat, fl in GROUP_TABLE)
+# the six groups, each built once; look a kind up here instead of building it
+KINDS = {key: GroupKind(*key) for key in GROUP_TABLE}
+
+ALL_KINDS = tuple(KINDS.values())
 
 _KIND_BY_NAME = {k.name: k for k in ALL_KINDS}
 
@@ -147,9 +145,7 @@ class BordismElement:
                 f"{kind.name} takes {len(orders)} coordinates, got {len(coords)}"
             )
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(
-            self, "coords", tuple(c % o for c, o in zip(coords, orders))
-        )
+        object.__setattr__(self, "coords", tuple(c % o for c, o in zip(coords, orders)))
 
     def coord(self, generator: str) -> int | None:
         """The coordinate of the named generator; None if the group lacks it."""
@@ -161,19 +157,10 @@ def _coord(kind: GroupKind, coords: tuple[int, ...], generator: str) -> int | No
     return coords[gens.index(generator)] if generator in gens else None
 
 
-def _element(kind: GroupKind, coords: tuple[int, ...]) -> BordismElement:
-    """BordismElement(kind, coords) for a tuple of ints of the right count,
-    which only reduces them: for results computed inside the package."""
-    a = object.__new__(BordismElement)
-    object.__setattr__(a, "kind", kind)
-    object.__setattr__(a, "coords", tuple(c % o for c, o in zip(coords, kind.orders)))
-    return a
-
-
 def _named(kind: GroupKind, named: dict[str, int]) -> BordismElement:
-    """_element of the coefficients named[g] of kind's generators g (0 if
-    missing); names the group lacks are dropped."""
-    return _element(kind, tuple(named.get(g, 0) for g in kind.generators))
+    """The element with coefficient named[g] on each of kind's generators g
+    (0 if missing); names the group lacks are dropped."""
+    return BordismElement(kind, [named.get(g, 0) for g in kind.generators])
 
 
 @dataclass(frozen=True)
@@ -195,11 +182,11 @@ def zero(kind: GroupKind) -> BordismElement:
 def add(a: BordismElement, b: BordismElement) -> BordismElement:
     if a.kind != b.kind:
         raise KindMismatchError(f"cannot add {a.kind.name} and {b.kind.name}")
-    return _element(a.kind, tuple(x + y for x, y in zip(a.coords, b.coords)))
+    return BordismElement(a.kind, [x + y for x, y in zip(a.coords, b.coords)])
 
 
 def neg(a: BordismElement) -> BordismElement:
-    return _element(a.kind, tuple(-x for x in a.coords))
+    return BordismElement(a.kind, [-x for x in a.coords])
 
 
 def canonicalize(a: BordismElement) -> CanonicalClass:
@@ -223,7 +210,7 @@ def forget_smooth(a: BordismElement) -> BordismElement:
     """
     if a.kind.category is not Category.SMOOTH:
         raise KindMismatchError("forget_smooth needs a smooth bordism element")
-    top = GroupKind(Category.TOP, a.kind.flavor)
+    top = KINDS[(Category.TOP, a.kind.flavor)]
     return _named(top, dict(zip(a.kind.generators, a.coords)))
 
 
@@ -249,6 +236,8 @@ def _render_coords(coords: tuple[int, ...]) -> str:
 
 
 def parse_element(text: str) -> BordismElement:
+    """The element `text` spells; an empty coordinate, as in 'pinc:(1,,1)',
+    raises InputError, while 'pin-:()' and 'pin-:' have no coordinates."""
     text = text.strip()
     name, sep, rest = text.partition(":")
     if not sep:
@@ -257,9 +246,8 @@ def parse_element(text: str) -> BordismElement:
     rest = rest.strip()
     if rest.startswith("(") and rest.endswith(")"):
         rest = rest[1:-1]
-    parts = [p.strip() for p in rest.split(",")] if rest.strip() else []
     try:
-        coords = [ascii_int(p) for p in parts if p != ""]
+        coords = [ascii_int(p) for p in rest.split(",")] if rest.strip() else []
     except ValueError as exc:
         raise InputError(f"bad coordinates in element {text!r}") from exc
     return BordismElement(kind, coords)

@@ -34,12 +34,7 @@ from .algebra import (
     standard_form_from_invariants,
 )
 from .errors import InvalidFormError, WrongDivisibilityError, ZeroClassError
-from .forms import CohomologyClass, IntersectionForm
-
-
-def _check_ks(ks: int) -> None:
-    if type(ks) is not int or ks not in (0, 1):
-        raise InvalidFormError(f"ks must be 0 or 1, got {ks!r}")
+from .forms import CohomologyClass, IntersectionForm, check_ks
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class BundleInput:
     c1: CohomologyClass
 
     def __post_init__(self):
-        _check_ks(self.ks)
+        check_ks(self.ks)
         if len(self.c1) != self.form.rank:
             raise InvalidFormError(
                 f"c1 has length {len(self.c1)}, form has rank {self.form.rank}"
@@ -85,20 +80,21 @@ def _w2_type_of_half(form: IntersectionForm, ct: CohomologyClass) -> W2Type:
 
 def is_smoothable(ks: int, c1: CohomologyClass) -> bool:
     """Odd divisibility: always smoothable.  Even: smoothable iff KS(X)=0."""
-    _check_ks(ks)
+    check_ks(ks)
+    return _divisibility(c1) % 2 == 1 or ks == 0
+
+
+def _divisibility(c1: CohomologyClass) -> int:
+    """The divisibility of c1, which must not be the zero class."""
     m = c1.divisibility()
     if m == 0:
         raise ZeroClassError("c1 is the zero class; the bundle is trivial")
-    if m % 2 == 1:
-        return True
-    return ks == 0
+    return m
 
 
 def _half(c1: CohomologyClass) -> CohomologyClass:
     """ct = c1/2, after checking that c1 has divisibility exactly 2."""
-    m = c1.divisibility()
-    if m == 0:
-        raise ZeroClassError("c1 is the zero class; the bundle is trivial")
+    m = _divisibility(c1)
     if m == 1:
         raise WrongDivisibilityError(
             1,

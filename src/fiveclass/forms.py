@@ -301,10 +301,15 @@ BLOCK_MATRICES: dict[str, tuple[tuple[int, ...], ...]] = {
 
 
 def from_blocks(names: Iterable[str]) -> IntersectionForm:
-    """Direct sum of named blocks <1>, <-1>, H, E8, in the listed order."""
+    """Direct sum of named blocks <1>, <-1>, H, E8, in the listed order; each
+    name must be a str, and a bare string is not read as a list of names."""
+    if isinstance(names, str):
+        raise InvalidFormError(f"block names must be a list, not the string {names!r}")
     blocks, n = [], 0
     for name in names:
-        block = BLOCK_MATRICES.get(str(name))
+        if type(name) is not str:
+            raise InvalidFormError(f"block names must be strings, got {name!r}")
+        block = BLOCK_MATRICES.get(name)
         if block is None:
             raise InvalidFormError(
                 f"unknown block {name!r}; known blocks: "
@@ -338,9 +343,11 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
     form_spec = obj.get("form")
     if not isinstance(form_spec, dict):
         raise InvalidFormError('missing or malformed "form" field')
+    if "blocks" in form_spec and "matrix" in form_spec:
+        raise InvalidFormError('form takes one of "blocks" or "matrix", not both')
     if "blocks" in form_spec:
         blocks = form_spec["blocks"]
-        if not isinstance(blocks, list) or any(type(b) is not str for b in blocks):
+        if not isinstance(blocks, list):
             raise InvalidFormError('"blocks" must be a list of block names')
         form = from_blocks(blocks)
     elif "matrix" in form_spec:
@@ -350,7 +357,11 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
         form = IntersectionForm(matrix)
     else:
         raise InvalidFormError('form needs either "blocks" or "matrix"')
-    ks = obj.get("ks", 0)
+    return form, check_ks(obj.get("ks", 0))
+
+
+def check_ks(ks: int) -> int:
+    """ks itself, if it is a Kirby-Siebenmann bit: the int 0 or 1."""
     if type(ks) is not int or ks not in (0, 1):
-        raise InvalidFormError(f'"ks" must be 0 or 1, got {ks!r}')
-    return form, ks
+        raise InvalidFormError(f"ks must be 0 or 1, got {ks!r}")
+    return ks

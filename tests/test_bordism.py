@@ -71,17 +71,31 @@ def test_named_builder_reduces_and_drops():
     assert bordism._named(PINM, {"E8": 1, "RP4": 2}) == BordismElement(PINM, ())
 
 
-def test_coordinate_layout_lives_in_bordism():
-    # outside bordism.py, [P] is read by generator name, never by position
+def _package_lines(pattern, skip=()):
+    """'file:line: text' for each line of the package matching pattern."""
     package = Path(bordism.__file__).parent
-    hits = [
+    return [
         f"{path.name}:{n}: {line.strip()}"
         for path in sorted(package.glob("*.py"))
-        if path.name != "bordism.py"
+        if path.name not in skip
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(r"\b(coords|rep)\[", line)
+        if re.search(pattern, line)
     ]
-    assert hits == []
+
+
+def test_coordinate_layout_lives_in_bordism():
+    # outside bordism.py, [P] is read by generator name, never by position
+    assert _package_lines(r"\b(coords|rep)\[", skip=("bordism.py",)) == []
+
+
+def test_values_have_one_constructor():
+    # a BordismElement or Invariants is built only through its checked
+    # constructor, and the six GroupKinds only once, in bordism.KINDS
+    assert _package_lines(r"object\.__new__") == []
+    built = [hit.split(": ", 1)[1] for hit in _package_lines(r"\bGroupKind\(")]
+    assert built == ["KINDS = {key: GroupKind(*key) for key in GROUP_TABLE}"]
+    assert all(bordism.KINDS[(k.category, k.flavor)] is k for k in ALL_KINDS)
+    assert len(ALL_KINDS) == len(bordism.GROUP_TABLE) == 6
 
 
 def test_add_examples():
@@ -121,17 +135,22 @@ def test_group_kind_needs_enum_members(category, flavor):
 def _kinds_and_int_coords(draw):
     kind = draw(st.sampled_from(ALL_KINDS))
     n = len(kind.orders)
-    coords = draw(st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n))
-    return kind, tuple(coords)
+    coords = st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n)
+    return kind, tuple(draw(coords)), tuple(draw(coords))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_kinds_and_int_coords())
 def test_unchecked_constructor_matches_checked_one(kind_coords):
-    kind, coords = kind_coords
-    fast, checked = bordism._element(kind, coords), BordismElement(kind, coords)
-    assert fast == checked
-    assert type(fast) is BordismElement and hash(fast) == hash(checked)
+    # add and neg give what the constructor gives on the unreduced results
+    kind, xs, ys = kind_coords
+    a, b = BordismElement(kind, xs), BordismElement(kind, ys)
+    for result, checked in (
+        (add(a, b), BordismElement(kind, [x + y for x, y in zip(xs, ys)])),
+        (neg(a), BordismElement(kind, [-x for x in xs])),
+    ):
+        assert result == checked
+        assert type(result) is BordismElement and hash(result) == hash(checked)
 
 
 def test_canonicalize_examples():
@@ -211,6 +230,21 @@ def test_parse_element_formats():
         parse_element("pin+")
     with pytest.raises(InputError):
         kind_from_name("spin")
+
+
+@pytest.mark.parametrize(
+    "text", ["pinc:(1,,1)", "pinc:(1,1,)", "pinc:(,1)", "pinc:1,,1", "pin+:(,)", "pin+:( ,)"]
+)
+def test_parse_element_rejects_an_empty_coordinate(text):
+    with pytest.raises(InputError):
+        parse_element(text)
+
+
+def test_parse_element_reads_an_empty_list_as_no_coordinates():
+    for text in ("pin-:()", "pin-:", "pin-: ( ) "):
+        assert parse_element(text) == BordismElement(PINM, ())
+    with pytest.raises(InputError):
+        parse_element("pin+:")
 
 
 def test_render_formats():

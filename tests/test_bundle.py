@@ -11,7 +11,7 @@ from fiveclass.errors import (
     WrongDivisibilityError,
     ZeroClassError,
 )
-from fiveclass.forms import CohomologyClass, IntersectionForm, from_blocks
+from fiveclass.forms import CohomologyClass, IntersectionForm, from_blocks, manifold_from_json
 from fiveclass.selfcheck import check_bundle, random_bundle_input
 
 
@@ -125,7 +125,9 @@ def test_is_smoothable_checks_ks_as_bundle_input_does(ks):
         BundleInput(IntersectionForm([[1]]), ks, c(2))
     with pytest.raises(InvalidFormError) as asked:
         is_smoothable(ks, c(2))
-    assert str(asked.value) == str(built.value)
+    with pytest.raises(InvalidFormError) as read:
+        manifold_from_json({"form": {"blocks": ["1"]}, "ks": ks})
+    assert str(asked.value) == str(read.value) == str(built.value)
 
 
 def test_classify_negated_c1_gives_same_answer():

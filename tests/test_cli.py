@@ -163,6 +163,8 @@ def test_classify_rejects_non_integer_input_exit_two(capsys, tmp_path):
         {"form": {"matrix": [[1.7]]}, "ks": 0},
         {"form": {"matrix": [["x"]]}, "ks": 0},
         {"form": {"blocks": ["1"]}, "ks": True},
+        {"form": {"blocks": [1, -1]}, "ks": 0},
+        {"form": {"blocks": ["1"], "matrix": [[2]]}, "ks": 0},
     ):
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2")
@@ -225,6 +227,13 @@ def test_bordism_table(capsys):
 def test_bordism_bad_element_exit_two(capsys):
     code, _, _ = run(capsys, "bordism", "add", "pin+:1", "pinc:(0,0)")
     assert code == 2
+
+
+def test_bordism_empty_coordinate_exit_two(capsys):
+    for argv in (("neg", "pinc:(1,,1)"), ("add", "pinc:(1,1,)", "pinc:(0,0)")):
+        code, out, err = run(capsys, "bordism", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "bad coordinates" in err
 
 
 def test_ahss_order(capsys):

@@ -218,6 +218,23 @@ def test_manifold_from_json_rejects_garbage():
         forms.manifold_from_json({"form": {"matrix": [[1]]}, "ks": 2})
 
 
+@pytest.mark.parametrize("names", [[1, -1], "1H", [b"1"], ("1", 1)])
+def test_from_blocks_takes_only_str_names(names):
+    # no coercion: 1 is not read as "1", nor a string as a list of names
+    with pytest.raises(InvalidFormError):
+        from_blocks(names)
+
+
+def test_from_blocks_takes_any_iterable_of_names():
+    assert from_blocks(("1", "H")) == from_blocks(["1", "H"]) == from_blocks(iter(["1", "H"]))
+
+
+def test_manifold_from_json_takes_blocks_or_matrix_not_both():
+    for matrix in ([[2]], [[1]]):
+        with pytest.raises(InvalidFormError):
+            forms.manifold_from_json({"form": {"blocks": ["1"], "matrix": matrix}})
+
+
 def test_manifold_from_json_rejects_non_integers():
     # no coercion: 1.7 is not read as 1, nor true as 1
     for matrix in ([[1.7]], [["x"]], [[True]], [[1.0]], [[None]], [1], [[1, 0], "ab"]):
