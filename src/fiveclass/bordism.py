@@ -103,7 +103,8 @@ _KIND_BY_NAME = {k.name: k for k in ALL_KINDS}
 
 
 def kind_from_name(name: str) -> GroupKind:
-    kind = _KIND_BY_NAME.get(name.strip().lower())
+    """The group of that exact name: no case folding, no surrounding spaces."""
+    kind = _KIND_BY_NAME.get(name)
     if kind is None:
         raise InputError(
             f"unknown bordism group {name!r}; expected one of "

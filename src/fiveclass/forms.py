@@ -14,9 +14,21 @@ the connected components of the support of the off-diagonal entries, and Q
 is the orthogonal sum of its restrictions to them.  A block sum, in any basis
 order, splits into its blocks; a dense form is one piece.  The determinant,
 the square <c^2, [X]> and the signature are computed piece by piece with
-integer arithmetic only: fraction-free (Bareiss) elimination and a
-symmetric congruence elimination.  There are no rationals and no floating
-point, because every downstream invariant is a congruence class.
+integer arithmetic only.  Each piece keeps a record of its determinant and,
+where known, its integer inverse, from which a square is a matrix-vector
+product:
+
+- a piece of rank 1 or 2, such as <+-1> or H, uses closed forms: det [a] = a,
+  det [[a, b], [b, c]] = ac - b^2, and the inverse is d times the adjugate,
+  since d = +-1;
+- a piece whose rows are exactly those of a named block above rank 2 (E8)
+  reads both from a table derived from BLOCK_MATRICES on first use;
+- any other piece (dense, or a permuted or negated E8) takes fraction-free
+  (Bareiss) elimination for its determinant and for each square.
+
+The signature of every piece comes from a symmetric congruence elimination.
+There are no rationals and no floating point, because every downstream
+invariant is a congruence class.
 
 Size limit: a form has rank at most MAX_RANK; a larger one raises
 RangeExceededError before any elimination runs.
@@ -24,9 +36,11 @@ RangeExceededError before any elimination runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -132,6 +146,43 @@ def _restrict(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> list[list[in
     return [[rows[r][c] for c in idx] for r in idx]
 
 
+def _bordered_square(q: Sequence[Sequence[int]], d: int, p: Sequence[int]) -> int:
+    """p^T Q^{-1} p for a square matrix Q of determinant d = +-1, by the Schur
+    complement identity det [[Q, p], [p^T, 0]] = -det Q * p^T Q^{-1} p."""
+    bordered = [list(row) + [x] for row, x in zip(q, p)]
+    return -d * bareiss_determinant(bordered + [list(p) + [0]])
+
+
+_Rows = tuple[tuple[int, ...], ...]
+# One orthogonal summand Q_P of a form: its index set P, det Q_P, and the
+# integer inverse of Q_P, or None where no closed form or table entry gives it.
+_Piece = tuple[tuple[int, ...], int, _Rows | None]
+
+
+def _piece(mat: Sequence[Sequence[int]], idx: tuple[int, ...]) -> _Piece:
+    """The record of the summand of mat on the sorted indices idx.
+
+    The inverses below hold only when d = +-1, so that 1/d = d: the inverse
+    of [a] is [d], and that of [[a, b], [b, c]] is d * [[c, -b], [-b, a]].
+    Any other d fails the unimodularity check, and the record is discarded.
+    A summand whose rows are exactly those of a named block above rank 2
+    reads both from _named_pieces(); any other has no inverse.
+    """
+    if len(idx) == 1:
+        d = mat[idx[0]][idx[0]]
+        return idx, d, ((d,),)
+    if len(idx) == 2:
+        i, j = idx
+        a, b, c = mat[i][i], mat[i][j], mat[j][j]
+        d = a * c - b * b
+        return idx, d, ((d * c, -d * b), (-d * b, d * a))
+    sub = tuple(map(tuple, _restrict(mat, idx)))
+    named = _named_pieces().get(sub)
+    if named is not None:
+        return (idx, *named)
+    return idx, bareiss_determinant(sub), None
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """An integral 2-dimensional cohomology class as a pairing vector of ints."""
@@ -163,10 +214,8 @@ class IntersectionForm:
     """Symmetric unimodular integer matrix; validated on construction."""
 
     rows: tuple[tuple[int, ...], ...]
-    # (index set, determinant) of each orthogonal summand, and det Q
-    _pieces: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # the _piece record of each orthogonal summand, and det Q
+    _pieces: tuple[_Piece, ...] = field(init=False, repr=False, compare=False)
     _det: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
@@ -201,16 +250,13 @@ class IntersectionForm:
                     big.extend(small)
                     for k in small:
                         piece[k] = big
-        pieces, det = [], 1
-        for members in {id(m): m for m in piece}.values():
-            idx = tuple(sorted(members))
-            d = bareiss_determinant(_restrict(mat, idx))
-            pieces.append((idx, d))
-            det *= d
+        members = {id(m): m for m in piece}.values()
+        pieces = tuple([_piece(mat, tuple(sorted(m))) for m in members])
+        det = math.prod(d for _, d, _ in pieces)
         if abs(det) != 1:
             raise NotUnimodularError(abs(det))
         object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "_pieces", tuple(pieces))
+        object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_det", det)
 
     @property
@@ -224,7 +270,7 @@ class IntersectionForm:
     @property
     def pieces(self) -> tuple[tuple[int, ...], ...]:
         """Index sets of the orthogonal summands, ordered by smallest index."""
-        return tuple(idx for idx, _ in self._pieces)
+        return tuple(idx for idx, _, _ in self._pieces)
 
     def signature(self) -> int:
         """Number of positive minus number of negative squares.
@@ -242,17 +288,20 @@ class IntersectionForm:
     def square(self, c: CohomologyClass) -> int:
         """<c^2, [X]> = p^T Q^{-1} p, an integer since Q is unimodular.
 
-        Summed over the summands P on which p is nonzero, by the Schur
-        complement identity det [[Q_P, p_P], [p_P^T, 0]] = -det Q_P *
-        p_P^T Q_P^{-1} p_P with det Q_P = +-1.
+        Summed over the summands P on which p is nonzero: from the integer
+        inverse of Q_P where its record has one, else by a bordered Bareiss
+        determinant (_bordered_square).
         """
         self._check_length(c)
         total = 0
-        for idx, d in self._pieces:
+        for idx, d, inv in self._pieces:
             p = [c.pairings[i] for i in idx]
-            if any(p):
-                bordered = [row + [x] for row, x in zip(_restrict(self.rows, idx), p)]
-                total -= d * bareiss_determinant(bordered + [p + [0]])
+            if not any(p):
+                continue
+            if inv is None:
+                total += _bordered_square(_restrict(self.rows, idx), d, p)
+            else:
+                total += sum(map(mul, p, [sum(map(mul, row, p)) for row in inv]))
         return total
 
     def is_characteristic(self, c: CohomologyClass) -> bool:
@@ -300,6 +349,37 @@ BLOCK_MATRICES: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
+@functools.cache
+def _named_pieces() -> dict[_Rows, tuple[int, _Rows]]:
+    """{rows: (determinant, inverse)} of each block in BLOCK_MATRICES above
+    rank 2, derived on first use, so that importing the module does not pay
+    for it.
+
+    The inverse polarizes the bordered square sq(p) = p^T Q^{-1} p:
+    Q^{-1}_ii = sq(e_i), and Q^{-1}_ij is half of sq(e_i + e_j) - sq(e_i) -
+    sq(e_j).  A summand uses an entry only when its restricted rows equal
+    the block's rows; a permuted or negated block takes the Bareiss route.
+    """
+    table = {}
+    for rows in BLOCK_MATRICES.values():
+        n = len(rows)
+        if n <= 2:
+            continue
+        d = bareiss_determinant(rows)
+
+        def sq(*basis: int) -> int:
+            return _bordered_square(rows, d, [int(k in basis) for k in range(n)])
+
+        inv = [[0] * n for _ in range(n)]
+        for i in range(n):
+            inv[i][i] = sq(i)
+        for i in range(n):
+            for j in range(i + 1, n):
+                inv[i][j] = inv[j][i] = (sq(i, j) - inv[i][i] - inv[j][j]) // 2
+        table[rows] = (d, tuple(map(tuple, inv)))
+    return table
+
+
 def from_blocks(names: Iterable[str]) -> IntersectionForm:
     """Direct sum of named blocks <1>, <-1>, H, E8, in the listed order; each
     name must be a str, and a bare string is not read as a list of names."""
@@ -337,12 +417,16 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
 
     {"form": {"blocks": ["1","-1","H","E8", ...]} | {"matrix": [[...]]},
      "ks": 0|1}
+
+    Any other key, at either level, is an input error rather than dropped.
     """
     if not isinstance(obj, dict):
         raise InvalidFormError("manifold description must be a JSON object")
+    _check_keys(obj, ("form", "ks"), "manifold description")
     form_spec = obj.get("form")
     if not isinstance(form_spec, dict):
         raise InvalidFormError('missing or malformed "form" field')
+    _check_keys(form_spec, ("blocks", "matrix"), "form")
     if "blocks" in form_spec and "matrix" in form_spec:
         raise InvalidFormError('form takes one of "blocks" or "matrix", not both')
     if "blocks" in form_spec:
@@ -358,6 +442,14 @@ def manifold_from_json(obj: object) -> tuple[IntersectionForm, int]:
     else:
         raise InvalidFormError('form needs either "blocks" or "matrix"')
     return form, check_ks(obj.get("ks", 0))
+
+
+def _check_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise InvalidFormError(
+                f"unknown key {key!r} in the {what}; known keys: " + ", ".join(known)
+            )
 
 
 def check_ks(ks: int) -> int:

@@ -139,6 +139,13 @@ def sympy_det(rows) -> int:
     return int(sympy.Matrix(rows).det(method="bareiss"))
 
 
+def sympy_inverse(rows) -> tuple[tuple[int, ...], ...]:
+    """The inverse of a unimodular integer matrix with sympy, as int rows."""
+    inv = sympy.Matrix(rows).inv()
+    assert all(x.is_integer for x in inv)
+    return tuple(tuple(int(x) for x in inv.row(i)) for i in range(inv.rows))
+
+
 def sympy_square(rows, pairings) -> int:
     """p^T Q^{-1} p with sympy's exact inverse."""
     p = sympy.Matrix(pairings)

@@ -232,6 +232,19 @@ def test_parse_element_formats():
         kind_from_name("spin")
 
 
+@pytest.mark.parametrize("name", ["PIN+", " pin+", "pin+ ", "TOP-PinC", "Pinc", "pin+\n"])
+def test_kind_from_name_takes_only_the_exact_name(name):
+    with pytest.raises(InputError):
+        kind_from_name(name)
+    assert kind_from_name(name.strip().lower()).name == name.strip().lower()
+
+
+@pytest.mark.parametrize("text", ["PIN+:3", " PIN+:3", "pin+ :3", "Top-Pin+:(1,3)"])
+def test_parse_element_takes_only_the_exact_group_name(text):
+    with pytest.raises(InputError):
+        parse_element(text)
+
+
 @pytest.mark.parametrize(
     "text", ["pinc:(1,,1)", "pinc:(1,1,)", "pinc:(,1)", "pinc:1,,1", "pin+:(,)", "pin+:( ,)"]
 )

@@ -180,6 +180,15 @@ def test_classify_non_ascii_file_exit_two(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_classify_unknown_key_exit_two(capsys, tmp_path):
+    # a misspelt "ks" was dropped, and the total space reported smoothable
+    path = tmp_path / "m.json"
+    path.write_text('{"form": {"blocks": ["1"]}, "KS": 1}', encoding="ascii")
+    code, out, err = run(capsys, "classify", "--input", str(path), "--c1", "2", "--json")
+    assert (code, out) == (2, "")
+    assert "unknown key 'KS'" in err
+
+
 def test_bordism_arity_exit_two(capsys):
     for op in ("neg", "canon", "forget", "info"):
         code, _, err = run(capsys, "bordism", op)
@@ -227,6 +236,17 @@ def test_bordism_table(capsys):
 def test_bordism_bad_element_exit_two(capsys):
     code, _, _ = run(capsys, "bordism", "add", "pin+:1", "pinc:(0,0)")
     assert code == 2
+
+
+def test_bordism_group_name_is_taken_literally(capsys):
+    for argv in (
+        ("neg", " PIN+:3"), ("info", "TOP-PinC"), ("info", " pin+"), ("canon", "Pinc:(1,1)")
+    ):
+        code, out, err = run(capsys, "bordism", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unknown bordism group" in err, argv
+    code, out, _ = run(capsys, "bordism", "neg", "pin+:3")
+    assert (code, out.strip()) == (0, "pin+:13")
 
 
 def test_bordism_empty_coordinate_exit_two(capsys):

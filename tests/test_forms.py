@@ -1,5 +1,6 @@
 """Tests for exact intersection-form arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     fraction_square,
     gauss_det,
     sympy_det,
+    sympy_inverse,
     sympy_square,
 )
 
@@ -218,6 +220,23 @@ def test_manifold_from_json_rejects_garbage():
         forms.manifold_from_json({"form": {"matrix": [[1]]}, "ks": 2})
 
 
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"form": {"blocks": ["1"]}, "KS": 1}, "'KS'"),
+        ({"form": {"blocks": ["1"], "junk": 1}}, "'junk'"),
+        ({"form": {"matrix": [[1]]}, "ks": 0, "note": "x"}, "'note'"),
+        ({"form": {"Blocks": ["1"]}}, "'Blocks'"),
+        ({"blocks": ["1"]}, "'blocks'"),
+        ({"form": {"blocks": ["1"]}, 1: 0}, "1"),
+    ],
+)
+def test_manifold_from_json_refuses_unknown_keys(obj, key):
+    # a misspelt ks was dropped before, so ks read 0 and the form smoothable
+    with pytest.raises(InvalidFormError, match=f"unknown key {key}"):
+        forms.manifold_from_json(obj)
+
+
 @pytest.mark.parametrize("names", [[1, -1], "1H", [b"1"], ("1", 1)])
 def test_from_blocks_takes_only_str_names(names):
     # no coercion: 1 is not read as "1", nor a string as a list of names
@@ -379,9 +398,121 @@ def test_signature_is_not_computed_at_construction(monkeypatch):
         raise AssertionError("signature computed eagerly")
 
     monkeypatch.setattr(forms, "_signature", fail)
+    # the first E8 in a process builds the named-block table; that must not
+    # take a signature either
+    forms._named_pieces.cache_clear()
     q = from_blocks(["1", "H", "E8"])
     q.square(CohomologyClass([1] * q.rank))
     q.is_even()
+
+
+# -- closed forms and the named-block table ---------------------------------------
+
+NEG_E8 = [[-x for x in row] for row in BLOCK_MATRICES["E8"]]
+PERMUTED_E8 = _permuted(random.Random(8), BLOCK_MATRICES["E8"])
+# summands that force each route: rank 1 with a = +-1; rank 2 with det -1 and
+# +1, either sign of the off-diagonal entry and either sign of a definite
+# piece; E8 from the table; -E8 and a basis-permuted E8 by Bareiss
+SUMMANDS = {
+    "<1>": [[1]],
+    "<-1>": [[-1]],
+    "[[1,-2],[-2,3]]": [[1, -2], [-2, 3]],
+    "[[2,1],[1,1]]": [[2, 1], [1, 1]],
+    "[[0,-1],[-1,0]]": [[0, -1], [-1, 0]],
+    "[[-1,1],[1,0]]": [[-1, 1], [1, 0]],
+    "[[-2,1],[1,-1]]": [[-2, 1], [1, -1]],
+    "H": [[0, 1], [1, 0]],
+    "E8": BLOCK_MATRICES["E8"],
+    "-E8": NEG_E8,
+    "permuted E8": PERMUTED_E8,
+}
+BAREISS_SUMMANDS = {"-E8", "permuted E8"}
+
+
+def _pairings(n):
+    """Every pairing vector in [-2, 2]^n for n <= 2; above, the unit vectors,
+    their pairwise sums and differences, and two fixed vectors."""
+    if n <= 2:
+        return [list(p) for p in itertools.product(range(-2, 3), repeat=n)]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = [
+        [x + s * y for x, y in zip(unit[i], unit[j])]
+        for i in range(n) for j in range(i + 1, n) for s in (1, -1)
+    ]
+    return unit + pairs + [list(range(-3, n - 3)), [2, -1, 0, 3, -2, 1, 1, -3][:n]]
+
+
+@pytest.mark.parametrize("name", sorted(SUMMANDS))
+def test_summand_kernels_match_oracles(name):
+    rows = SUMMANDS[name]
+    q = IntersectionForm(rows)
+    assert q.pieces == (tuple(range(len(rows))),)
+    assert q.determinant == gauss_det(rows) == sympy_det(rows)
+    assert q.signature() == fraction_signature(rows)
+    ps = _pairings(len(rows))
+    for p in ps:
+        assert q.square(CohomologyClass(p)) == fraction_square(rows, p), p
+    for p in ps if len(rows) <= 2 else ps[-2:]:
+        assert q.square(CohomologyClass(p)) == sympy_square(rows, p), p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_forced_summands_in_a_permuted_sum(seed):
+    # the summands of a block sum in a shuffled basis: restricted to its
+    # sorted indices a rank-2 summand may appear transposed, as [[c,b],[b,a]]
+    rng = random.Random(seed)
+    names = [rng.choice(sorted(SUMMANDS)) for _ in range(rng.randint(1, 6))]
+    rows = SUMMANDS[names[0]]
+    for name in names[1:]:
+        rows = _block_sum(rows, SUMMANDS[name])
+    rows = _permuted(rng, rows)
+    q = IntersectionForm(rows)
+    p = [rng.randint(-4, 4) for _ in rows]
+    assert len(q.pieces) == len(names)
+    assert q.determinant == gauss_det(rows)
+    assert q.signature() == fraction_signature(rows)
+    assert q.square(CohomologyClass(p)) == fraction_square(rows, p)
+
+
+def test_named_table_matches_sympy():
+    table = forms._named_pieces()
+    named = {rows for rows in BLOCK_MATRICES.values() if len(rows) > 2}
+    assert set(table) == named
+    for rows in named:
+        assert table[rows] == (sympy_det(rows), sympy_inverse(rows))
+
+
+def _count_bareiss(monkeypatch):
+    forms._named_pieces()  # the table is built once, on first use
+    calls = []
+    real = forms.bareiss_determinant
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(forms, "bareiss_determinant", counted)
+    return calls
+
+
+def test_named_blocks_take_no_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    q = from_blocks(["1", "-1", "H", "E8", "H", "-1", "E8", "1"])
+    p = CohomologyClass(range(1, q.rank + 1))
+    assert q.square(p) == fraction_square(q.rows, p.pairings)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(BAREISS_SUMMANDS))
+def test_permuted_or_negated_e8_takes_bareiss(monkeypatch, name):
+    calls = _count_bareiss(monkeypatch)
+    rows = _block_sum(SUMMANDS[name], [[1]])
+    q = IntersectionForm(rows)
+    assert calls == [8]
+    p = list(range(1, 10))
+    assert q.square(CohomologyClass(p)) == fraction_square(rows, p)
+    assert calls == [8, 9]
 
 
 # -- size limit -----------------------------------------------------------------------
